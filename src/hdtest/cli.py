@@ -11,23 +11,27 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .detectors import DetectorKind
 from .errors import DomainError, StructuralError
-from .shrinkage import lw_covariance, shrink_eigenvalues
+from .shrinkage import lw_covariance
 from .simulation import (
     SimulationConfig,
+    blas_pinned,
+    blas_threads,
     normality_check,
     null_z_samples,
     roc_curve,
     run_trials,
+    worker_count,
     write_roc_csv,
     write_scores_csv,
 )
@@ -40,26 +44,6 @@ from .spectral import (
 
 _HIST_BINS = 50
 _HIST_RANGE = (-5.0, 5.0)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int
-    tool_version: str
-    outputs: list
-    duration_seconds: float
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "outputs": self.outputs,
-            "duration_seconds": self.duration_seconds,
-        }
 
 
 def _write_json_atomic(path, payload: dict) -> None:
@@ -154,9 +138,11 @@ def cmd_simulate(args) -> int:
         return _fail(str(exc), 2)
     t0 = time.perf_counter()
     try:
-        table = run_trials(config)
+        with blas_pinned() as held:
+            table = run_trials(config)
     except DomainError as exc:
         return _fail(str(exc), 3)
+    environment = _engine_environment(held, config.trials)
     outputs = []
 
     scores_path = os.path.join(args.out_dir, "scores.csv")
@@ -193,7 +179,10 @@ def cmd_simulate(args) -> int:
     _write_json_atomic(summary_path, summary)
     outputs.append(summary_path)
 
-    _finish_manifest(args.out_dir, "simulate", config.as_dict(), config.seed, outputs, t0)
+    _write_manifest(
+        os.path.join(args.out_dir, "manifest.json"),
+        "simulate", config.as_dict(), config.seed, outputs, t0, environment,
+    )
     for kind in curves:
         print(f"{kind.value}: auc={curves[kind].auc:.4f}")
     for kind, reason in table.absent.items():
@@ -212,12 +201,14 @@ def cmd_null_check(args) -> int:
         return _fail(str(exc), 2)
     t0 = time.perf_counter()
     try:
-        z = null_z_samples(config)
+        with blas_pinned() as held:
+            z = null_z_samples(config)
         stats = normality_check(z)  # needs >= 2 samples: trials=1 is a usage error
     except StructuralError as exc:
         return _fail(str(exc), 2)
     except DomainError as exc:
         return _fail(str(exc), 3)
+    environment = _engine_environment(held, config.trials)
     outputs = []
 
     samples_path = os.path.join(args.out_dir, "z_samples.csv")
@@ -253,7 +244,10 @@ def cmd_null_check(args) -> int:
     _write_json_atomic(summary_path, summary)
     outputs.append(summary_path)
 
-    _finish_manifest(args.out_dir, "null-check", config.as_dict(), config.seed, outputs, t0)
+    _write_manifest(
+        os.path.join(args.out_dir, "manifest.json"),
+        "null-check", config.as_dict(), config.seed, outputs, t0, environment,
+    )
     print(
         f"null z: mean={stats.mean:.4f} variance={stats.variance:.4f} "
         f"ks={stats.ks_statistic:.4f}"
@@ -272,7 +266,6 @@ def cmd_shrink(args) -> int:
         return _fail(str(exc), 2)
     try:
         decomp = spectral_decompose(sym)
-        dhat = shrink_eigenvalues(decomp, args.n, sym.p)
         estimate = lw_covariance(decomp, args.n, sym.p)
     except StructuralError as exc:
         return _fail(str(exc), 2)
@@ -281,39 +274,52 @@ def cmd_shrink(args) -> int:
 
     prefix = args.out_prefix
     dhat_path = f"{prefix}dhat.csv"
-    write_matrix_csv(dhat_path, dhat.reshape(-1, 1))
+    write_matrix_csv(dhat_path, estimate.dhat.reshape(-1, 1))
     rlw_path = f"{prefix}rlw.csv"
     write_matrix_csv(rlw_path, estimate.matrix())
 
     lam = decomp.eigenvalues
     cond_in = float("inf") if lam[-1] <= 0.0 else float(lam[0] / lam[-1])
-    cond_out = float(np.max(dhat) / np.min(dhat))
+    cond_out = float(np.max(estimate.dhat) / np.min(estimate.dhat))
     print(f"input condition number: {cond_in:.6g}")
     print(f"output condition number: {cond_out:.6g}")
 
     config = {"matrix": args.matrix, "n": args.n, "out_prefix": prefix}
-    manifest = RunManifest(
-        command="shrink",
-        config=config,
-        seed=0,
-        tool_version=__version__,
-        outputs=[dhat_path, rlw_path],
-        duration_seconds=time.perf_counter() - t0,
-    )
-    _write_json_atomic(f"{prefix}manifest.json", manifest.as_dict())
+    _write_manifest(f"{prefix}manifest.json", "shrink", config, 0, [dhat_path, rlw_path], t0)
     return 0
 
 
-def _finish_manifest(out_dir, command, config, seed, outputs, t0) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        tool_version=__version__,
-        outputs=outputs,
-        duration_seconds=time.perf_counter() - t0,
-    )
-    _write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest.as_dict())
+def _engine_environment(held: dict, trials: int) -> dict:
+    """What produced an engine run's numbers: versions, workers, BLAS threads.
+
+    `held` is what blas_pinned() yielded around the engine; the restored counts
+    are read now, after the hold was released.
+    """
+    restored = blas_threads()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "workers": worker_count(trials),
+        "blas": [
+            {"library": name, "threads_during_run": n, "threads_restored": restored.get(name)}
+            for name, n in held.items()
+        ],
+    }
+
+
+def _write_manifest(path, command, config, seed, outputs, t0, environment=None) -> None:
+    manifest = {
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "tool_version": __version__,
+        "outputs": outputs,
+        "duration_seconds": time.perf_counter() - t0,
+    }
+    if environment is not None:
+        manifest["environment"] = environment
+    _write_json_atomic(path, manifest)
 
 
 def main(argv=None) -> int:

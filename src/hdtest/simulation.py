@@ -3,17 +3,23 @@
 A run is a pure function of its configuration.  Per-trial randomness comes
 from seed streams derived as SeedSequence([seed, stream, trial, hypothesis]),
 so results are bit-identical regardless of how many worker threads execute
-the trials (each trial writes into its own preallocated slot).
+the trials (each trial writes into its own preallocated slot).  While an
+engine runs, every loaded OpenBLAS is held at one thread, so the bits do not
+depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -221,6 +227,107 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def worker_count(trials: int) -> int:
+    """Threads an engine run of `trials` trials uses: thread_count(), at most one per trial."""
+    return min(thread_count(), trials)
+
+
+# (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy
+# bundle: numpy's has the 64-bit integer interface and its suffix, scipy's
+# (loaded through scipy.linalg) has neither.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+class _OpenBlas(NamedTuple):
+    name: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _find_openblas() -> tuple:
+    """Every OpenBLAS mapped into this process that exports a thread-count pair.
+
+    Read from /proc/self/maps at the first call, not at import; by then the
+    imports of this module have loaded both numpy's and scipy's copies.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append(_OpenBlas(os.path.basename(path), get, set_))
+                break
+    return tuple(found)
+
+
+def blas_threads() -> dict:
+    """Library file name -> current thread count, for every OpenBLAS found."""
+    return {lib.name: lib.get() for lib in _find_openblas()}
+
+
+# The hold's state is per process because OpenBLAS's thread count is.
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_saved: list = []  # (library, thread count before the first holder)
+
+
+@contextlib.contextmanager
+def blas_pinned():
+    """Hold every loaded OpenBLAS at one thread; yields blas_threads() inside.
+
+    The hold is reference-counted: the first holder saves the counts and sets
+    1, and only the last one out restores them, so nested and concurrent
+    engine calls share it.  Does nothing where no OpenBLAS thread-count symbol
+    is found.
+    """
+    global _pin_holders, _pin_saved
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_saved = [(lib, lib.get()) for lib in _find_openblas()]
+            for lib, _ in _pin_saved:
+                lib.set(1)
+        _pin_holders += 1
+        held = {lib.name: lib.get() for lib, _ in _pin_saved}
+    try:
+        yield held
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                for lib, n in _pin_saved:
+                    lib.set(n)
+
+
+def _map_trials(fn, trials: int) -> list:
+    """[fn(0), ..., fn(trials - 1)] in trial order, with BLAS held at one thread.
+
+    The trials run on worker_count(trials) threads, or inline when that is 1;
+    the BLAS hold covers both, so the results do not depend on either count.
+    """
+    with blas_pinned():
+        workers = worker_count(trials)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, range(trials)))
+        return [fn(t) for t in range(trials)]
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Scores for both hypotheses, one column per surviving detector."""
@@ -312,15 +419,7 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
             _score_pair(pair1, kinds, model, pop_sym),
         )
 
-    results = [None] * config.trials
-    workers = min(thread_count(), config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for t, res in enumerate(pool.map(one_trial, range(config.trials))):
-                results[t] = res
-    else:
-        for t in range(config.trials):
-            results[t] = one_trial(t)
+    results = _map_trials(one_trial, config.trials)
 
     # Aggregate in trial order; a detector that failed its precondition on any
     # trial is dropped entirely, with the first failure as the reason.
@@ -445,16 +544,7 @@ def null_z_samples(config: SimulationConfig) -> np.ndarray:
         )
         return lw_score(pair).score
 
-    out = np.empty(config.trials)
-    workers = min(thread_count(), config.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for t, z in enumerate(pool.map(one, range(config.trials))):
-                out[t] = z
-    else:
-        for t in range(config.trials):
-            out[t] = one(t)
-    return out
+    return np.array(_map_trials(one, config.trials), dtype=float)
 
 
 def write_scores_csv(table: ScoreTable, path) -> None:

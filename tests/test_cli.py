@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -8,10 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import hdtest
+from hdtest import simulation
 from hdtest.cli import main
-from hdtest.spectral import read_matrix_csv, write_matrix_csv
+from hdtest.shrinkage import lw_covariance, shrink_eigenvalues
+from hdtest.simulation import SimulationConfig, blas_threads, run_trials, write_scores_csv
+from hdtest.spectral import SymMatrix, read_matrix_csv, spectral_decompose, write_matrix_csv
 
 from test_shrinkage import FIX_A_DHAT
 
@@ -26,6 +31,19 @@ SIM_ARGS = [
 
 def run_simulate(out_dir, extra=()):
     return main(SIM_ARGS + list(extra) + ["--out-dir", str(out_dir)])
+
+
+def check_environment(manifest, workers):
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert env["workers"] == workers
+    restored = blas_threads()
+    assert [b["library"] for b in env["blas"]] == list(restored)
+    for b in env["blas"]:
+        assert b["threads_during_run"] == 1
+        assert b["threads_restored"] == restored[b["library"]]
 
 
 class TestSimulateCommand:
@@ -59,6 +77,26 @@ class TestSimulateCommand:
         assert run_simulate(out2) == 0
         for name in ("scores.csv", "roc_lw.csv", "roc_cq10.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_manifest_records_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HDTEST_THREADS", "3")
+        out = tmp_path / "run"
+        assert run_simulate(out) == 0
+        check_environment(json.loads((out / "manifest.json").read_text()), workers=2)
+
+    def test_environment_stays_out_of_scores(self, tmp_path, monkeypatch):
+        """scores.csv has the same bytes whether or not the manifest lists BLAS
+        libraries, and the same bytes as the engine's table written directly."""
+        assert run_simulate(tmp_path / "with") == 0
+        config = SimulationConfig(p=8, n1=10, n2=10, trials=2, seed=5, detectors=("lw", "cq10"))
+        write_scores_csv(run_trials(config), tmp_path / "direct.csv")
+        monkeypatch.setattr(simulation, "_find_openblas", lambda: ())
+        assert run_simulate(tmp_path / "without") == 0
+        manifest = json.loads((tmp_path / "without" / "manifest.json").read_text())
+        assert manifest["environment"]["blas"] == []
+        scores = (tmp_path / "with" / "scores.csv").read_bytes()
+        assert scores == (tmp_path / "without" / "scores.csv").read_bytes()
+        assert scores == (tmp_path / "direct.csv").read_bytes()
 
     def test_absent_detector_is_reported_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -131,6 +169,14 @@ class TestNullCheckCommand:
         assert (out / "manifest.json").exists()
         assert "null z: mean=" in capsys.readouterr().out
 
+    def test_manifest_records_numeric_environment(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        out = tmp_path / "null"
+        args = ["null-check", "--p", "10", "--n1", "12", "--n2", "12", "--trials", "3"]
+        assert main(args + ["--out-dir", str(out)]) == 0
+        check_environment(json.loads((out / "manifest.json").read_text()), workers=1)
+        capsys.readouterr()
+
     def test_two_trials_boundary(self, tmp_path, capsys):
         out = tmp_path / "null2"
         code = main(
@@ -193,6 +239,22 @@ class TestShrinkCommand:
         assert main(["shrink", "--matrix", str(path), "--n", "8", "--out-prefix", p2]) == 0
         assert open(f"{p1}dhat.csv", "rb").read() == open(f"{p2}dhat.csv", "rb").read()
         assert open(f"{p1}rlw.csv", "rb").read() == open(f"{p2}rlw.csv", "rb").read()
+        capsys.readouterr()
+
+    def test_outputs_match_the_library_estimate(self, tmp_path, capsys):
+        """dhat.csv holds shrink_eigenvalues and rlw.csv the lw_covariance
+        matrix, byte for byte."""
+        x = np.random.default_rng(4).standard_normal((5, 30))
+        path = self.write_matrix(tmp_path, x @ x.T / 30)
+        prefix = str(tmp_path / "out_")
+        assert main(["shrink", "--matrix", str(path), "--n", "30", "--out-prefix", prefix]) == 0
+        decomp = spectral_decompose(SymMatrix(read_matrix_csv(path)))
+        dhat = shrink_eigenvalues(decomp, 30, 5)
+        write_matrix_csv(tmp_path / "dhat_ref.csv", dhat.reshape(-1, 1))
+        write_matrix_csv(tmp_path / "rlw_ref.csv", lw_covariance(decomp, 30, 5).matrix())
+        for name in ("dhat", "rlw"):
+            got = Path(f"{prefix}{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
         capsys.readouterr()
 
     def test_equal_aspect_ratio_exits_3(self, tmp_path, capsys):

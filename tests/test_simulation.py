@@ -1,4 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import hdtest
+from hdtest import simulation
 from hdtest.detectors import DetectorKind
 from hdtest.errors import DomainError, StructuralError
 from hdtest.simulation import (
     CovarianceModel,
     RocCurve,
     SimulationConfig,
+    blas_pinned,
+    blas_threads,
     generate_sample,
     make_covariance,
     model_seed,
@@ -248,6 +258,128 @@ class TestRunTrials:
         z = null_z_samples(cfg)
         table = run_trials(cfg)
         np.testing.assert_array_equal(z, table.h0[DetectorKind.PROPOSED_LW])
+
+
+def _openblas_or_skip():
+    libs = simulation._find_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS with thread-count symbols is loaded")
+    return libs
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS set to two threads (what it reads back), restored after."""
+    libs = _openblas_or_skip()
+    original = [lib.get() for lib in libs]
+    for lib in libs:
+        lib.set(2)
+    try:
+        yield {lib.name: lib.get() for lib in libs}
+    finally:
+        for lib, n in zip(libs, original):
+            lib.set(n)
+
+
+def _recording(fn, seen):
+    """`fn` that first appends blas_threads() to `seen`."""
+
+    def wrapped(*args, **kwargs):
+        seen.append(blas_threads())
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_held_at_one_during_run_and_restored_after(self, workers, blas_at_two, monkeypatch):
+        monkeypatch.setenv("HDTEST_THREADS", workers)
+        seen = []
+        monkeypatch.setattr(simulation, "cq10_score", _recording(simulation.cq10_score, seen))
+        run_trials(SimulationConfig(**SMALL))
+        assert len(seen) == 2 * SMALL["trials"]
+        assert all(counts == {name: 1 for name in blas_at_two} for counts in seen)
+        assert blas_threads() == blas_at_two
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_restored_after_a_trial_raises(self, workers, blas_at_two, monkeypatch):
+        monkeypatch.setenv("HDTEST_THREADS", workers)
+
+        def boom(pair):
+            raise RuntimeError("not a precondition failure")
+
+        monkeypatch.setattr(simulation, "cq10_score", boom)
+        with pytest.raises(RuntimeError, match="not a precondition"):
+            run_trials(SimulationConfig(**SMALL))
+        assert blas_threads() == blas_at_two
+
+    def test_nested_hold_is_released_by_the_outermost_only(self, blas_at_two):
+        with blas_pinned() as held:
+            assert held == {name: 1 for name in blas_at_two}
+            null_z_samples(SimulationConfig(**SMALL))
+            assert blas_threads() == held
+        assert blas_threads() == blas_at_two
+
+    def test_concurrent_engines_stay_pinned(self, blas_at_two, monkeypatch):
+        """More engines than cores, switching often: no engine may see the
+        counts restored while another still runs."""
+        monkeypatch.setenv("HDTEST_THREADS", "2")
+        seen = []
+        monkeypatch.setattr(simulation, "cq10_score", _recording(simulation.cq10_score, seen))
+        cfg = SimulationConfig(p=6, n1=8, n2=8, trials=6, seed=2, detectors=("cq10",))
+        engines = [threading.Thread(target=run_trials, args=(cfg,)) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in engines:
+                t.start()
+            for t in engines:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in engines)
+        assert len(seen) == 6 * 2 * cfg.trials
+        assert all(counts == {name: 1 for name in blas_at_two} for counts in seen)
+        assert blas_threads() == blas_at_two
+
+    def test_no_library_found_still_scores(self, monkeypatch):
+        cfg = SimulationConfig(**SMALL)
+        pinned = run_trials(cfg)
+        monkeypatch.setattr(simulation, "_find_openblas", lambda: ())
+        with blas_pinned() as held:
+            assert held == {}
+        bare = run_trials(cfg)
+        assert bare.absent == pinned.absent == {}
+        for kind in cfg.detectors:
+            np.testing.assert_array_equal(bare.h0[kind], pinned.h0[kind])
+            np.testing.assert_array_equal(bare.h1[kind], pinned.h1[kind])
+
+    def test_scores_do_not_depend_on_blas_threads(self, tmp_path):
+        """At p = 150 > n = 78 the eigh bits move with the OpenBLAS thread
+        count unless the engine holds it; two fresh interpreters with
+        different OPENBLAS_NUM_THREADS and HDTEST_THREADS must agree."""
+        args = [
+            "simulate", "--p", "150", "--n1", "40", "--n2", "40", "--cov-order", "2",
+            "--detectors", "lw,lappw", "--trials", "4", "--seed", "1",
+        ]
+        package_root = str(Path(hdtest.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(
+                os.environ,
+                PYTHONPATH=package_root,
+                OPENBLAS_NUM_THREADS=threads,
+                HDTEST_THREADS=threads,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "hdtest.cli", *args, "--out-dir", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestRocCurve:
