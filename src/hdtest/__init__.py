@@ -58,6 +58,7 @@ from .spectral import (
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
+    decompose_pair,
     pooled_scm,
     quad_form_inverse,
     read_matrix_csv,
@@ -84,6 +85,7 @@ __all__ = [
     "SpectralDecomposition",
     "pooled_scm",
     "spectral_decompose",
+    "decompose_pair",
     "quad_form_inverse",
     "read_matrix_csv",
     "write_matrix_csv",

@@ -142,7 +142,7 @@ def cmd_simulate(args) -> int:
             table = run_trials(config)
     except DomainError as exc:
         return _fail(str(exc), 3)
-    environment = _engine_environment(held, config.trials)
+    environment = _run_environment(held, worker_count(config.trials))
     outputs = []
 
     scores_path = os.path.join(args.out_dir, "scores.csv")
@@ -208,7 +208,7 @@ def cmd_null_check(args) -> int:
         return _fail(str(exc), 2)
     except DomainError as exc:
         return _fail(str(exc), 3)
-    environment = _engine_environment(held, config.trials)
+    environment = _run_environment(held, worker_count(config.trials))
     outputs = []
 
     samples_path = os.path.join(args.out_dir, "z_samples.csv")
@@ -265,8 +265,10 @@ def cmd_shrink(args) -> int:
     except (StructuralError, OSError) as exc:
         return _fail(str(exc), 2)
     try:
-        decomp = spectral_decompose(sym)
-        estimate = lw_covariance(decomp, args.n, sym.p)
+        with blas_pinned() as held:
+            decomp = spectral_decompose(sym)
+            estimate = lw_covariance(decomp, args.n, sym.p)
+            rlw = estimate.matrix()
     except StructuralError as exc:
         return _fail(str(exc), 2)
     except DomainError as exc:
@@ -276,7 +278,7 @@ def cmd_shrink(args) -> int:
     dhat_path = f"{prefix}dhat.csv"
     write_matrix_csv(dhat_path, estimate.dhat.reshape(-1, 1))
     rlw_path = f"{prefix}rlw.csv"
-    write_matrix_csv(rlw_path, estimate.matrix())
+    write_matrix_csv(rlw_path, rlw)
 
     lam = decomp.eigenvalues
     cond_in = float("inf") if lam[-1] <= 0.0 else float(lam[0] / lam[-1])
@@ -285,22 +287,25 @@ def cmd_shrink(args) -> int:
     print(f"output condition number: {cond_out:.6g}")
 
     config = {"matrix": args.matrix, "n": args.n, "out_prefix": prefix}
-    _write_manifest(f"{prefix}manifest.json", "shrink", config, 0, [dhat_path, rlw_path], t0)
+    _write_manifest(
+        f"{prefix}manifest.json", "shrink", config, 0, [dhat_path, rlw_path], t0,
+        _run_environment(held, 1),
+    )
     return 0
 
 
-def _engine_environment(held: dict, trials: int) -> dict:
-    """What produced an engine run's numbers: versions, workers, BLAS threads.
+def _run_environment(held: dict, workers: int) -> dict:
+    """What produced a run's numbers: versions, workers, BLAS threads.
 
-    `held` is what blas_pinned() yielded around the engine; the restored counts
-    are read now, after the hold was released.
+    `held` is what blas_pinned() yielded around the computation; the restored
+    counts are read now, after the hold was released.
     """
     restored = blas_threads()
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "workers": worker_count(trials),
+        "workers": workers,
         "blas": [
             {"library": name, "threads_during_run": n, "threads_restored": restored.get(name)}
             for name, n in held.items()

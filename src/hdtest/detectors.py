@@ -35,9 +35,9 @@ from .spectral import (
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
+    decompose_pair,
     pooled_scm,
     quad_form_inverse,
-    spectral_decompose,
 )
 
 # Relative eigenvalue floor below which the plain sample covariance is
@@ -91,7 +91,16 @@ def _inv_quad(cov, v: np.ndarray) -> float:
 
 
 def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
-    """Clairvoyant detector using the true population covariance."""
+    """Clairvoyant detector using the true population covariance.
+
+    A diagonal model (an object with a `diag` vector, such as the
+    simulation's CovarianceModel) is inverted in O(p) as ||diff / sqrt(diag)||^2,
+    which has the same bits as the Cholesky path on its dense matrix.
+    """
+    diag = getattr(pop_cov, "diag", None)
+    if diag is not None:
+        y = pair.mean_diff / np.sqrt(diag)
+        return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
     score = _inv_quad(pop_cov, pair.mean_diff)
     return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, score)
 
@@ -115,7 +124,7 @@ def hotelling_score(
             f"sample covariance is singular for p={pair.p} > n={pair.n}"
         )
     if decomp is None:
-        decomp = spectral_decompose(pooled_scm(pair))
+        decomp = decompose_pair(pair)
     lam = decomp.eigenvalues
     if lam[0] <= 0.0 or lam[-1] < HOTELLING_SINGULARITY_TOL * lam[0]:
         raise SingularCovarianceError("pooled sample covariance is numerically singular")
@@ -135,7 +144,7 @@ def lw_score(
     test hook replacing the shrunk covariance estimate.
     """
     if decomp is None and estimator_override is None:
-        decomp = spectral_decompose(pooled_scm(pair))
+        decomp = decompose_pair(pair)
     if estimator_override is not None:
         t2 = pair.diff_scale * _inv_quad(estimator_override, pair.mean_diff)
     else:
@@ -145,18 +154,34 @@ def lw_score(
     return ScoreResult(DetectorKind.PROPOSED_LW, z, aux={"t2_lw": t2})
 
 
-def bs96_score(pair: SamplePair, *, scm: SymMatrix | None = None) -> ScoreResult:
+def bs96_score(
+    pair: SamplePair,
+    *,
+    scm: SymMatrix | None = None,
+    decomp: SpectralDecomposition | None = None,
+) -> ScoreResult:
     """Euclidean-norm statistic standardized by the trace-based variance estimate.
 
     B_n = n^2/((n+2)(n-1)) * (tr(S^2) - (tr S)^2 / n); the whole product
-    (2(n+1)/n) * B_n sits under the square root.
+    (2(n+1)/n) * B_n sits under the square root.  tr S and tr(S^2) are read
+    off `scm` when given, else off the spectrum of `decomp` (sum of the
+    eigenvalues and of their squares); with neither, the SCM is formed when
+    p <= n1 + n2 and the pair is decomposed from the Gram side otherwise.
     """
     n = pair.n
-    if scm is None:
-        scm = pooled_scm(pair)
-    s = scm.entries
-    tr = float(np.trace(s))
-    tr2 = float(np.sum(s * s))
+    if scm is None and decomp is None:
+        if pair.gram_side:
+            decomp = decompose_pair(pair)
+        else:
+            scm = pooled_scm(pair)
+    if scm is not None:
+        s = scm.entries
+        tr = float(np.trace(s))
+        tr2 = float(np.sum(s * s))
+    else:
+        lam = decomp.eigenvalues
+        tr = float(lam.sum())
+        tr2 = float(lam @ lam)
     bn = n * n / ((n + 2.0) * (n - 1.0)) * (tr2 - tr * tr / n)
     if bn <= 0.0:
         raise DegenerateVarianceError(f"variance estimate B_n = {bn} is not positive")
@@ -197,7 +222,7 @@ def lappw_score(
     upper bound for any data-driven choice.  aux carries 'loading'.
     """
     if decomp is None:
-        decomp = spectral_decompose(pooled_scm(pair))
+        decomp = decompose_pair(pair)
     res = optimize_loading(decomp, pop)
     d = decomp.eigenvalues + res.lambda_star
     score = pair.diff_scale * quad_form_inverse(decomp, d, pair.mean_diff)

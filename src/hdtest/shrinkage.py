@@ -201,6 +201,13 @@ def _pop_diag(pop) -> np.ndarray:
     return diag
 
 
+def _full_basis(decomp: SpectralDecomposition) -> np.ndarray:
+    """The decomposition's eigenvectors, which must span all p directions."""
+    if decomp.eigenvectors.shape[1] != decomp.p:
+        raise StructuralError("needs a full eigenbasis, got a range-plus-null decomposition")
+    return decomp.eigenvectors
+
+
 @dataclass(frozen=True)
 class OracleDiagnostics:
     """Per-direction oracle variances and the interval-averaged shrinkage bias."""
@@ -230,7 +237,7 @@ def oracle_diagnostics(
     dhat = np.asarray(dhat, dtype=float)
     if dhat.shape != (decomp.p,):
         raise StructuralError("dhat length mismatch")
-    u = decomp.eigenvectors
+    u = _full_basis(decomp)
     sigma2 = (u * u * diag[:, None]).sum(axis=0)
     inside = (decomp.eigenvalues >= lo) & (decomp.eigenvalues <= hi)
     bias = float(np.sum(dhat[inside] - sigma2[inside]) / decomp.p)
@@ -245,7 +252,7 @@ def eigenbasis_coupling(decomp: SpectralDecomposition, dhat: np.ndarray, pop) ->
     informational; nothing in the estimator depends on it.
     """
     diag = _pop_diag(pop)
-    u = decomp.eigenvectors
+    u = _full_basis(decomp)
     m = (u * diag[:, None]).T @ u
     m = m - np.diag(np.asarray(dhat, dtype=float))
     return float(np.max(np.abs(m)))
@@ -327,9 +334,11 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     """Maximize the SNR proxy of S + lambda*I over the loading lambda.
 
     The objective is evaluated in the eigenbasis of S: with w_i = (U'RU)_ii
-    precomputed once, each evaluation costs O(p).  The search scans 64 points
-    of log-lambda over [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines
-    the bracketing interval by golden section to absolute log-tolerance 1e-6.
+    precomputed once, each evaluation costs O(p).  A range-plus-null
+    decomposition carries the null space's total weight, tr R minus the
+    range w_i.  The search scans 64 points of log-lambda over
+    [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
+    interval by golden section to absolute log-tolerance 1e-6.
     """
     diag = _pop_diag(pop)
     lam = decomp.eigenvalues
@@ -341,6 +350,10 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     u = decomp.eigenvectors
     w = (u * u * diag[:, None]).sum(axis=0)
     p = decomp.p
+    if w.size < p:
+        # Range-plus-null form: every null direction has eigenvalue 0, so only
+        # the null weights' sum tr R - sum(w) enters; it rides on one slot.
+        w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
     evaluations = 0
 
     def g(t: float) -> float:

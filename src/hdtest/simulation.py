@@ -37,10 +37,9 @@ from .errors import DomainError, StructuralError
 from .spectral import (
     DataMatrix,
     SamplePair,
-    SymMatrix,
     _readonly,
+    decompose_pair,
     pooled_scm,
-    spectral_decompose,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -77,9 +76,6 @@ class CovarianceModel:
 
     def dense(self) -> np.ndarray:
         return np.diag(self.diag)
-
-    def sym(self) -> SymMatrix:
-        return SymMatrix(self.dense())
 
 
 def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) -> CovarianceModel:
@@ -345,20 +341,23 @@ class ScoreTable:
 _DECOMP_KINDS = frozenset(
     {DetectorKind.HOTELLING, DetectorKind.PROPOSED_LW, DetectorKind.LAPPW}
 )
-_SCM_KINDS = _DECOMP_KINDS | {DetectorKind.BS96}
 
 
-def _score_pair(pair: SamplePair, kinds, model: CovarianceModel, pop_sym: SymMatrix) -> dict:
+def _score_pair(pair: SamplePair, kinds, model: CovarianceModel) -> dict:
     """Score one sample pair with every requested detector.
 
+    The pair is decomposed at most once.  bs96 reads the pooled SCM, formed
+    once and shared with the decomposition, when p <= n1 + n2, and the
+    spectrum otherwise, so no p x p matrix is formed when p > n1 + n2.
     Precondition failures (DomainError family) are recorded as the exception
     so the caller can drop that detector's column; anything else propagates.
     """
     scm = decomp = None
-    if any(k in _SCM_KINDS for k in kinds):
+    bs96 = DetectorKind.BS96 in kinds
+    if bs96 and not pair.gram_side:
         scm = pooled_scm(pair)
-    if any(k in _DECOMP_KINDS for k in kinds):
-        decomp = spectral_decompose(scm)
+    if any(k in _DECOMP_KINDS for k in kinds) or (bs96 and scm is None):
+        decomp = decompose_pair(pair, scm)
     out = {}
     for kind in kinds:
         try:
@@ -370,13 +369,13 @@ def _score_pair(pair: SamplePair, kinds, model: CovarianceModel, pop_sym: SymMat
             elif kind is DetectorKind.PROPOSED_LW:
                 res = lw_score(pair, decomp=decomp)
             elif kind is DetectorKind.BS96:
-                res = bs96_score(pair, scm=scm)
+                res = bs96_score(pair, scm=scm, decomp=decomp)
             elif kind is DetectorKind.CQ10:
                 res = cq10_score(pair)
             elif kind is DetectorKind.LAPPW:
                 res = lappw_score(pair, model, decomp=decomp)
             elif kind is DetectorKind.MAHALANOBIS_ORACLE:
-                res = mahalanobis_score(pair, pop_sym)
+                res = mahalanobis_score(pair, model)
             else:  # pragma: no cover - enum is closed
                 raise StructuralError(f"unhandled detector {kind}")
             out[kind] = res.score
@@ -398,7 +397,6 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
         np.random.default_rng(np.random.SeedSequence(model_seed(config.seed))),
         seed=tuple(model_seed(config.seed)),
     )
-    pop_sym = model.sym()
     zeros = np.zeros(config.p)
     kinds = config.detectors
 
@@ -415,8 +413,8 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
             generate_sample(model, zeros, config.n2, rng1, config.base_dist),
         )
         return (
-            _score_pair(pair0, kinds, model, pop_sym),
-            _score_pair(pair1, kinds, model, pop_sym),
+            _score_pair(pair0, kinds, model),
+            _score_pair(pair1, kinds, model),
         )
 
     results = _map_trials(one_trial, config.trials)

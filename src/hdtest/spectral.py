@@ -5,6 +5,11 @@ pooled sample covariance and its eigendecomposition, so the conventions are
 pinned here once: eigenvalues in non-increasing order, a deterministic sign
 convention on eigenvectors, and a relative clip that maps tiny negative
 eigenvalues of a PSD matrix to exactly zero.
+
+A sample pair is decomposed by `decompose_pair`.  When p > n1 + n2 the
+pooled covariance has rank at most n1 + n2 - 2, and its range eigenpairs come
+from the small (n1 + n2) x (n1 + n2) Gram matrix of the centred data; the
+null space is then left implicit (range-plus-null form).
 """
 
 from __future__ import annotations
@@ -92,6 +97,11 @@ class SamplePair:
         return self.n1 + self.n2 - 2
 
     @property
+    def gram_side(self) -> bool:
+        """True when p > n1 + n2: the pooled covariance is decomposed from the Gram side."""
+        return self.p > self.n1 + self.n2
+
+    @property
     def diff_scale(self) -> float:
         """The balanced-design scale n1*n2/(n1+n2)."""
         return self.n1 * self.n2 / (self.n1 + self.n2)
@@ -132,7 +142,13 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (non-increasing) and matching orthonormal eigenvectors."""
+    """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
+
+    The eigenvectors are either a full p x p basis or, in range-plus-null
+    form, a p x r block for the first r eigenvalues; the remaining p - r
+    eigenvalues are then exactly 0 and belong to the orthogonal complement
+    of the block, which is never formed.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -140,8 +156,10 @@ class SpectralDecomposition:
     def __post_init__(self):
         vals = _readonly(self.eigenvalues)
         vecs = _readonly(self.eigenvectors)
-        if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
+        if vals.ndim != 1 or vecs.ndim != 2 or not vecs.shape[1] <= vecs.shape[0] == vals.size:
             raise StructuralError("inconsistent decomposition shapes")
+        if np.any(vals[vecs.shape[1]:] != 0.0):
+            raise StructuralError("eigenvalues without an eigenvector must be exactly 0")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
 
@@ -196,6 +214,32 @@ def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, _fix_signs(vecs))
 
 
+def decompose_pair(pair: SamplePair, scm: SymMatrix | None = None) -> SpectralDecomposition:
+    """Eigendecomposition of the pair's pooled sample covariance.
+
+    For p <= n1 + n2 this is spectral_decompose(scm), with `scm` the pair's
+    pooled_scm (formed here unless the caller passes it).  For p > n1 + n2
+    no p x p matrix is formed: with C the p x N centred data (N = n1 + n2),
+    the N x N Gram matrix C'C/n has the same nonzero eigenvalues as
+    S = CC'/n, and an eigenvector w of it with eigenvalue lambda > 0 gives the
+    unit eigenvector C w / sqrt(n lambda) of S.  The result is in
+    range-plus-null form: length-p eigenvalues (the p - r null ones exactly
+    0) and a p x r eigenvector block.  The Gram matrix goes through the same
+    symmetry check, clip and sign convention as the p x p path.
+    """
+    if not pair.gram_side:
+        return spectral_decompose(pooled_scm(pair) if scm is None else scm)
+    c = np.concatenate((pair.x1.entries, pair.x2.entries), axis=1)
+    c[:, : pair.n1] -= pair.xbar1[:, None]
+    c[:, pair.n1 :] -= pair.xbar2[:, None]
+    gram = spectral_decompose(SymMatrix(c.T @ c / pair.n))
+    lam = gram.eigenvalues
+    r = int(np.count_nonzero(lam > 0.0))
+    vecs = c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r]))
+    vals = np.concatenate((lam[:r], np.zeros(pair.p - r)))
+    return SpectralDecomposition(vals, _fix_signs(vecs))
+
+
 def quad_form_inverse(
     decomp: SpectralDecomposition, d: np.ndarray, v: np.ndarray
 ) -> float:
@@ -203,7 +247,9 @@ def quad_form_inverse(
 
     `d` supplies the (strictly positive) eigenvalues of the matrix being
     inverted; passing modified eigenvalues (shrunk, ridge-shifted, ...) reuses
-    one decomposition for many inverses.
+    one decomposition for many inverses.  In range-plus-null form (U is
+    p x r) the null entries d[r:] must all be equal, and the null part adds
+    (||v||^2 - ||U'v||^2) / d[r].
     """
     d = np.asarray(d, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -216,7 +262,13 @@ def quad_form_inverse(
     if np.any(d <= 0.0):
         raise DomainError("non-positive eigenvalue: matrix is not positive definite")
     proj = decomp.eigenvectors.T @ v
-    return float(np.sum(proj * proj / d))
+    r = proj.size
+    if r == decomp.p:
+        return float(np.sum(proj * proj / d))
+    if np.any(d[r:] != d[r]):
+        raise StructuralError("null-space entries of d must all be equal")
+    null = max(float(v @ v) - float(proj @ proj), 0.0)
+    return float(np.sum(proj * proj / d[:r])) + null / d[r]
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -257,6 +257,35 @@ class TestShrinkCommand:
             assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
         capsys.readouterr()
 
+    def test_manifest_records_numeric_environment(self, tmp_path, capsys):
+        path = self.write_matrix(tmp_path, np.diag([2.0, 1.0]))
+        prefix = str(tmp_path / "env_")
+        assert main(["shrink", "--matrix", str(path), "--n", "8", "--out-prefix", prefix]) == 0
+        check_environment(json.loads(Path(f"{prefix}manifest.json").read_text()), workers=1)
+        capsys.readouterr()
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        """A 400 x 400 SCM with n = 250: the eigh and the assembled estimate
+        move with the OpenBLAS thread count unless shrink holds it at one, so
+        two fresh interpreters with different OPENBLAS_NUM_THREADS must write
+        the same bytes."""
+        x = np.random.default_rng(11).standard_normal((400, 250))
+        path = self.write_matrix(tmp_path, x @ x.T / 250)
+        package_root = str(Path(hdtest.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            prefix = str(tmp_path / f"blas{threads}_")
+            env = dict(os.environ, PYTHONPATH=package_root, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hdtest.cli", "shrink", "--matrix", str(path),
+                 "--n", "250", "--out-prefix", prefix],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([Path(f"{prefix}{name}.csv").read_bytes() for name in ("dhat", "rlw")])
+        assert outputs[0][0] == outputs[1][0], "dhat.csv"
+        assert outputs[0][1] == outputs[1][1], "rlw.csv"
+
     def test_equal_aspect_ratio_exits_3(self, tmp_path, capsys):
         path = self.write_matrix(tmp_path, np.diag([2.0, 1.0]))
         code = main(

@@ -21,11 +21,12 @@ from hdtest.errors import (
     SingularCovarianceError,
     StructuralError,
 )
-from hdtest.simulation import generate_sample, make_covariance
+from hdtest.simulation import blas_pinned, generate_sample, make_covariance, sample_sphere
 from hdtest.shrinkage import lw_covariance
 from hdtest.spectral import (
     DataMatrix,
     SamplePair,
+    decompose_pair,
     pooled_scm,
     spectral_decompose,
 )
@@ -318,3 +319,51 @@ class TestPermutationEquivariance:
         assert mahalanobis_score(ppair, rp).score == pytest.approx(
             mahalanobis_score(pair, r).score, rel=1e-9
         )
+
+
+class TestGramSide:
+    """For p > n1 + n2 every detector reads the range-plus-null decomposition;
+    its scores must agree with the p x p path on the same pair."""
+
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    @pytest.mark.parametrize("p,n1,n2", [(150, 40, 40), (401, 100, 100)])
+    def test_scores_agree_with_the_p_by_p_path(self, p, n1, n2, order):
+        rng = np.random.default_rng(order)
+        mu = sample_sphere(p, 2.0, rng)
+        model, pair = model_pair(p + order, p, n1, n2, order=order, mu=mu)
+        with blas_pinned():
+            gram = decompose_pair(pair)
+            scm = pooled_scm(pair)
+            full = spectral_decompose(scm)
+            for score in (
+                lambda d: lw_score(pair, decomp=d).score,
+                lambda d: lappw_score(pair, model, decomp=d).score,
+            ):
+                want = score(full)
+                assert abs(score(gram) - want) <= 1e-5 * max(1.0, abs(want))
+            want = bs96_score(pair, scm=scm).score
+            assert bs96_score(pair, decomp=gram).score == pytest.approx(want, rel=1e-12, abs=0)
+            # with no decomposition given, each detector takes the Gram side itself
+            assert lw_score(pair).score == lw_score(pair, decomp=gram).score
+            assert lappw_score(pair, model).score == lappw_score(pair, model, decomp=gram).score
+            assert bs96_score(pair).score == bs96_score(pair, decomp=gram).score
+            oracle = mahalanobis_score(pair, model).score
+            assert oracle == mahalanobis_score(pair, model.dense()).score
+
+
+class TestDiagonalOracle:
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    def test_model_path_equals_the_dense_cholesky_path(self, order):
+        p = 200
+        rng = np.random.default_rng(10 + order)
+        model = make_covariance(order, p, rng)
+        dense = model.dense()
+        with blas_pinned():
+            for _ in range(50):
+                mu = sample_sphere(p, 1.0, rng)
+                pair = SamplePair(
+                    generate_sample(model, mu, 20, rng),
+                    generate_sample(model, np.zeros(p), 20, rng),
+                )
+                fast = mahalanobis_score(pair, model).score
+                assert fast == mahalanobis_score(pair, dense).score

@@ -271,6 +271,15 @@ class TestOracleDiagnostics:
         assert eigenbasis_coupling(decomp, np.array([3.0, 2.0]), np.array([3.0, 2.0])) == 0.0
         assert eigenbasis_coupling(decomp, np.array([1.0, 2.0]), np.array([3.0, 2.0])) == 2.0
 
+    def test_range_plus_null_decomposition_is_rejected(self):
+        # both diagnostics read every direction's eigenvector
+        split = SpectralDecomposition(np.array([3.0, 0.0]), np.eye(2)[:, :1])
+        dhat, pop = np.array([3.0, 1.0]), np.array([3.0, 1.0])
+        with pytest.raises(StructuralError, match="full eigenbasis"):
+            oracle_diagnostics(split, dhat, pop)
+        with pytest.raises(StructuralError, match="full eigenbasis"):
+            eigenbasis_coupling(split, dhat, pop)
+
 
 class TestSnrFunctionals:
     def test_exact_identity_case(self):

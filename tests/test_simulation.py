@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import hdtest
-from hdtest import simulation
+from hdtest import detectors, simulation, spectral
 from hdtest.detectors import DetectorKind
 from hdtest.errors import DomainError, StructuralError
 from hdtest.simulation import (
@@ -90,7 +90,6 @@ class TestMakeCovariance:
     def test_model_object(self):
         model = CovarianceModel(np.array([2.0, 1.0]), 0)
         np.testing.assert_array_equal(model.dense(), np.diag([2.0, 1.0]))
-        assert model.sym().p == 2
         with pytest.raises(DomainError):
             CovarianceModel(np.array([1.0, 0.0]), 0)
 
@@ -253,6 +252,36 @@ class TestRunTrials:
         k = DetectorKind.CQ10
         assert table.h1[k].mean() > table.h0[k].mean()
 
+    def test_gram_side_forms_no_p_by_p_matrix(self, monkeypatch):
+        """At p = 150 > n1 + n2 = 80 no pooled SCM is formed, every matrix
+        handed to the eigensolver is the 80 x 80 Gram matrix, and the
+        decompositions carry p x r eigenvector blocks, r = n = 78."""
+
+        def no_scm(pair):
+            raise AssertionError("pooled_scm called on the Gram side")
+
+        for module in (simulation, spectral, detectors):
+            monkeypatch.setattr(module, "pooled_scm", no_scm)
+        solved, shapes = [], []
+
+        def eigh(m, inner=spectral.spectral_decompose):
+            solved.append(m.p)
+            return inner(m)
+
+        def decompose(*args, inner=simulation.decompose_pair):
+            decomp = inner(*args)
+            shapes.append(decomp.eigenvectors.shape)
+            return decomp
+
+        monkeypatch.setattr(spectral, "spectral_decompose", eigh)
+        monkeypatch.setattr(simulation, "decompose_pair", decompose)
+        cfg = SimulationConfig(p=150, n1=40, n2=40, cov_order=2, trials=3, seed=4)
+        table = run_trials(cfg)
+        assert set(table.absent) == {DetectorKind.HOTELLING}
+        assert len(shapes) == 2 * cfg.trials
+        assert set(shapes) == {(150, 78)}
+        assert set(solved) == {80}
+
     def test_null_z_samples_consistent_with_run(self):
         cfg = SimulationConfig(**SMALL)
         z = null_z_samples(cfg)
@@ -356,30 +385,33 @@ class TestBlasPin:
             np.testing.assert_array_equal(bare.h1[kind], pinned.h1[kind])
 
     def test_scores_do_not_depend_on_blas_threads(self, tmp_path):
-        """At p = 150 > n = 78 the eigh bits move with the OpenBLAS thread
-        count unless the engine holds it; two fresh interpreters with
-        different OPENBLAS_NUM_THREADS and HDTEST_THREADS must agree."""
-        args = [
-            "simulate", "--p", "150", "--n1", "40", "--n2", "40", "--cov-order", "2",
-            "--detectors", "lw,lappw", "--trials", "4", "--seed", "1",
-        ]
+        """Two fresh interpreters with different OPENBLAS_NUM_THREADS and
+        HDTEST_THREADS must write the same scores, at p = 150 on both sides of
+        n1 + n2: with 40 + 40 every detector reads the Gram-side decomposition,
+        and with 80 + 80 the 150 x 150 eigh, whose bits move with the OpenBLAS
+        thread count unless the engine holds it."""
         package_root = str(Path(hdtest.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}"
-            env = dict(
-                os.environ,
-                PYTHONPATH=package_root,
-                OPENBLAS_NUM_THREADS=threads,
-                HDTEST_THREADS=threads,
-            )
-            proc = subprocess.run(
-                [sys.executable, "-m", "hdtest.cli", *args, "--out-dir", str(out)],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests.append(hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest())
-        assert digests[0] == digests[1]
+        for group in ("40", "80"):
+            args = [
+                "simulate", "--p", "150", "--n1", group, "--n2", group, "--cov-order", "2",
+                "--detectors", "lw,bs96,lappw,oracle", "--trials", "4", "--seed", "1",
+            ]
+            digests = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"n{group}-blas{threads}"
+                env = dict(
+                    os.environ,
+                    PYTHONPATH=package_root,
+                    OPENBLAS_NUM_THREADS=threads,
+                    HDTEST_THREADS=threads,
+                )
+                proc = subprocess.run(
+                    [sys.executable, "-m", "hdtest.cli", *args, "--out-dir", str(out)],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                digests.append(hashlib.sha256((out / "scores.csv").read_bytes()).hexdigest())
+            assert digests[0] == digests[1], f"n1 = n2 = {group}"
 
 
 class TestRocCurve:

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdtest.errors import DomainError, StructuralError
+from hdtest.simulation import blas_pinned, generate_sample, make_covariance
 from hdtest.spectral import (
     DataMatrix,
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
+    decompose_pair,
     pooled_scm,
     quad_form_inverse,
     read_matrix_csv,
@@ -133,6 +135,90 @@ class TestSpectralDecompose:
         # genuinely indefinite matrices keep their negative eigenvalues
         d = spectral_decompose(SymMatrix(np.diag([1.0, -0.5])))
         assert d.eigenvalues[-1] == -0.5
+
+
+def model_pair(p, n1, n2, order, seed=0):
+    rng = np.random.default_rng(seed)
+    model = make_covariance(order, p, rng)
+    return SamplePair(
+        generate_sample(model, np.zeros(p), n1, rng),
+        generate_sample(model, np.zeros(p), n2, rng),
+    )
+
+
+GRAM_SHAPES = [(150, 40, 40), (401, 100, 100)]
+
+
+class TestDecomposePair:
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    @pytest.mark.parametrize("p,n1,n2", GRAM_SHAPES)
+    def test_gram_side_matches_the_p_by_p_decomposition(self, p, n1, n2, order):
+        pair = model_pair(p, n1, n2, order)
+        with blas_pinned():
+            gram = decompose_pair(pair)
+            full = spectral_decompose(pooled_scm(pair))
+        lam = gram.eigenvalues
+        assert lam.shape == (p,)
+        np.testing.assert_allclose(lam, full.eigenvalues, rtol=0, atol=1e-10 * full.eigenvalues[0])
+        assert np.all(np.diff(lam) <= 0.0)
+        r = pair.n
+        assert gram.eigenvectors.shape == (p, r)
+        assert np.all(lam[:r] > 0.0) and np.all(lam[r:] == 0.0)
+
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    @pytest.mark.parametrize("p,n1,n2", GRAM_SHAPES)
+    def test_range_vectors_are_orthonormal_eigenvectors(self, p, n1, n2, order):
+        pair = model_pair(p, n1, n2, order)
+        decomp = decompose_pair(pair)
+        u, lam = decomp.eigenvectors, decomp.eigenvalues[: decomp.eigenvectors.shape[1]]
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-10)
+        s = pooled_scm(pair).entries
+        np.testing.assert_allclose(s @ u, u * lam, rtol=0, atol=1e-10 * lam[0])
+        # the p x p path's sign convention: first nonzero coordinate positive
+        assert np.all(u[0] > 0.0)
+
+    @pytest.mark.parametrize("p,n1,n2", [(60, 40, 40), (80, 40, 40), (5, 3, 4)])
+    def test_at_most_n1_plus_n2_is_the_p_by_p_decomposition(self, p, n1, n2):
+        pair = random_pair(np.random.default_rng(p), p, n1, n2)
+        want = spectral_decompose(pooled_scm(pair))
+        for got in (decompose_pair(pair), decompose_pair(pair, pooled_scm(pair))):
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+            np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
+
+    def test_rank_deficient_data_keeps_a_zero_null_space(self):
+        x = np.zeros((9, 3))
+        x[0] = [1.0, -1.0, 0.0]
+        pair = SamplePair(DataMatrix(x), DataMatrix(np.zeros((9, 3))))
+        decomp = decompose_pair(pair)
+        assert decomp.eigenvectors.shape == (9, 1)
+        np.testing.assert_allclose(decomp.eigenvalues, [0.5] + [0.0] * 8)
+
+
+class TestRangePlusNull:
+    def test_rejects_a_nonzero_eigenvalue_without_a_vector(self):
+        with pytest.raises(StructuralError):
+            SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2)[:, :1])
+
+    def test_rejects_more_vectors_than_eigenvalues(self):
+        with pytest.raises(StructuralError):
+            SpectralDecomposition(np.array([2.0]), np.eye(2)[:1])
+
+    def test_null_part_matches_the_full_basis(self):
+        rng = np.random.default_rng(3)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        vals = np.array([5.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+        full = SpectralDecomposition(vals, basis)
+        split = SpectralDecomposition(vals, basis[:, :2])
+        d = np.array([5.0, 3.0, 0.7, 0.7, 0.7, 0.7])
+        v = rng.standard_normal(6)
+        assert quad_form_inverse(split, d, v) == pytest.approx(
+            quad_form_inverse(full, d, v), rel=1e-13
+        )
+
+    def test_rejects_unequal_null_entries(self):
+        split = SpectralDecomposition(np.array([2.0, 0.0, 0.0]), np.eye(3)[:, :1])
+        with pytest.raises(StructuralError, match="null-space"):
+            quad_form_inverse(split, np.array([2.0, 1.0, 1.5]), np.ones(3))
 
 
 class TestQuadFormInverse:
