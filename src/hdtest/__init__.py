@@ -29,15 +29,11 @@ from .shrinkage import (
     LoadingResult,
     OracleDiagnostics,
     ShrinkageEstimate,
-    eigenbasis_coupling,
     kernel_ab,
     lw_covariance,
     optimize_loading,
     oracle_diagnostics,
     shrink_eigenvalues,
-    snr_exact,
-    snr_proxy,
-    stieltjes_s,
 )
 from .simulation import (
     CovarianceModel,
@@ -92,15 +88,11 @@ __all__ = [
     # shrinkage
     "KernelContext",
     "kernel_ab",
-    "stieltjes_s",
     "shrink_eigenvalues",
     "ShrinkageEstimate",
     "lw_covariance",
     "OracleDiagnostics",
     "oracle_diagnostics",
-    "eigenbasis_coupling",
-    "snr_exact",
-    "snr_proxy",
     "LoadingResult",
     "optimize_loading",
     # detectors

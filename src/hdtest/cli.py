@@ -295,13 +295,14 @@ def cmd_shrink(args) -> int:
 
 
 def _run_environment(held: dict, workers: int) -> dict:
-    """What produced a run's numbers: versions, workers, BLAS threads.
+    """What produced a run's numbers: platform, versions, workers, BLAS threads.
 
     `held` is what blas_pinned() yielded around the computation; the restored
     counts are read now, after the hold was released.
     """
     restored = blas_threads()
     return {
+        "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,

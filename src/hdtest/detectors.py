@@ -30,7 +30,7 @@ from .errors import (
     SingularCovarianceError,
     StructuralError,
 )
-from .shrinkage import ShrinkageEstimate, optimize_loading, shrink_eigenvalues
+from .shrinkage import optimize_loading, shrink_eigenvalues
 from .spectral import (
     SamplePair,
     SpectralDecomposition,
@@ -77,19 +77,6 @@ class ScoreResult:
             raise DomainError(f"{self.kind.value} produced a non-finite score")
 
 
-def _inv_quad(cov, v: np.ndarray) -> float:
-    """v' C^{-1} v for a PD matrix-like or ShrinkageEstimate."""
-    if isinstance(cov, ShrinkageEstimate):
-        return cov.inverse_quad(v)
-    m = np.asarray(getattr(cov, "entries", cov), dtype=float)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovarianceError("covariance is not positive definite") from exc
-    y = solve_triangular(chol, v, lower=True)
-    return float(y @ y)
-
-
 def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
     """Clairvoyant detector using the true population covariance.
 
@@ -100,25 +87,23 @@ def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
     diag = getattr(pop_cov, "diag", None)
     if diag is not None:
         y = pair.mean_diff / np.sqrt(diag)
-        return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
-    score = _inv_quad(pop_cov, pair.mean_diff)
-    return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, score)
+    else:
+        m = np.asarray(getattr(pop_cov, "entries", pop_cov), dtype=float)
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
+            raise SingularCovarianceError("covariance is not positive definite") from exc
+        y = solve_triangular(chol, pair.mean_diff, lower=True)
+    return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
 
 
 def hotelling_score(
-    pair: SamplePair,
-    *,
-    decomp: SpectralDecomposition | None = None,
-    estimator_override=None,
+    pair: SamplePair, *, decomp: SpectralDecomposition | None = None
 ) -> ScoreResult:
     """Classical statistic on the inverse pooled sample covariance.
 
-    Requires p <= n and a numerically nonsingular S_n.  `estimator_override`
-    is a test hook replacing S_n by an arbitrary PD matrix.
+    Requires p <= n and a numerically nonsingular S_n.
     """
-    if estimator_override is not None:
-        score = _inv_quad(estimator_override, pair.mean_diff)
-        return ScoreResult(DetectorKind.HOTELLING, score)
     if pair.p > pair.n:
         raise SingularCovarianceError(
             f"sample covariance is singular for p={pair.p} > n={pair.n}"
@@ -133,23 +118,16 @@ def hotelling_score(
 
 
 def lw_score(
-    pair: SamplePair,
-    *,
-    decomp: SpectralDecomposition | None = None,
-    estimator_override=None,
+    pair: SamplePair, *, decomp: SpectralDecomposition | None = None
 ) -> ScoreResult:
     """Shrinkage statistic, centered and scaled to a standard-normal-like Z.
 
-    aux carries the raw quadratic form 't2_lw'.  `estimator_override` is a
-    test hook replacing the shrunk covariance estimate.
+    aux carries the raw quadratic form 't2_lw'.
     """
-    if decomp is None and estimator_override is None:
+    if decomp is None:
         decomp = decompose_pair(pair)
-    if estimator_override is not None:
-        t2 = pair.diff_scale * _inv_quad(estimator_override, pair.mean_diff)
-    else:
-        dhat = shrink_eigenvalues(decomp, pair.n, pair.p)
-        t2 = pair.diff_scale * quad_form_inverse(decomp, dhat, pair.mean_diff)
+    dhat = shrink_eigenvalues(decomp, pair.n, pair.p)
+    t2 = pair.diff_scale * quad_form_inverse(decomp, dhat, pair.mean_diff)
     z = (t2 - pair.p) / math.sqrt(2.0 * pair.p)
     return ScoreResult(DetectorKind.PROPOSED_LW, z, aux={"t2_lw": t2})
 

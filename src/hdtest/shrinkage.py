@@ -1,4 +1,4 @@
-"""Analytical nonlinear eigenvalue shrinkage and related SNR functionals.
+"""Analytical nonlinear eigenvalue shrinkage and the diagonal-loading search.
 
 The covariance estimator keeps the sample eigenvectors and replaces each
 sample eigenvalue with a shrunk value driven by a kernel-smoothed estimate of
@@ -100,13 +100,6 @@ def kernel_ab(lam: float, ctx: KernelContext) -> tuple[float, float]:
     return float(a[0]), float(b[0])
 
 
-def stieltjes_s(lam: float, ctx: KernelContext) -> complex:
-    """Boundary value s(lambda) = pi * (a + i b) / min(n, p)."""
-    a, b = kernel_ab(lam, ctx)
-    m = min(ctx.n, ctx.p)
-    return complex(math.pi * a / m, math.pi * b / m)
-
-
 def shrink_eigenvalues(
     decomp: SpectralDecomposition, n: int, p: int
 ) -> np.ndarray:
@@ -178,11 +171,6 @@ class ShrinkageEstimate:
         """Assemble the dense estimate U diag(dhat) U'."""
         return (self.basis * self.dhat) @ self.basis.T
 
-    def inverse_quad(self, v: np.ndarray) -> float:
-        """v' Rhat^{-1} v without forming the inverse."""
-        proj = self.basis.T @ np.asarray(v, dtype=float)
-        return float(np.sum(proj * proj / self.dhat))
-
 
 def lw_covariance(decomp: SpectralDecomposition, n: int, p: int) -> ShrinkageEstimate:
     """Nonlinearly shrunk covariance estimate in the sample eigenbasis."""
@@ -199,13 +187,6 @@ def _pop_diag(pop) -> np.ndarray:
     if np.any(diag <= 0.0):
         raise DomainError("population covariance diagonal must be positive")
     return diag
-
-
-def _full_basis(decomp: SpectralDecomposition) -> np.ndarray:
-    """The decomposition's eigenvectors, which must span all p directions."""
-    if decomp.eigenvectors.shape[1] != decomp.p:
-        raise StructuralError("needs a full eigenbasis, got a range-plus-null decomposition")
-    return decomp.eigenvectors
 
 
 @dataclass(frozen=True)
@@ -237,82 +218,13 @@ def oracle_diagnostics(
     dhat = np.asarray(dhat, dtype=float)
     if dhat.shape != (decomp.p,):
         raise StructuralError("dhat length mismatch")
-    u = _full_basis(decomp)
+    if decomp.eigenvectors.shape[1] != decomp.p:
+        raise StructuralError("needs a full eigenbasis, got a range-plus-null decomposition")
+    u = decomp.eigenvectors
     sigma2 = (u * u * diag[:, None]).sum(axis=0)
     inside = (decomp.eigenvalues >= lo) & (decomp.eigenvalues <= hi)
     bias = float(np.sum(dhat[inside] - sigma2[inside]) / decomp.p)
     return OracleDiagnostics(_readonly(sigma2), bias)
-
-
-def eigenbasis_coupling(decomp: SpectralDecomposition, dhat: np.ndarray, pop) -> float:
-    """Optional diagnostic: max |(U'RU)_ij - delta_ij dhat_j|.
-
-    Measures how far the population covariance is from being diagonalized by
-    the sample basis with the shrunk eigenvalues on the diagonal.  Purely
-    informational; nothing in the estimator depends on it.
-    """
-    diag = _pop_diag(pop)
-    u = _full_basis(decomp)
-    m = (u * diag[:, None]).T @ u
-    m = m - np.diag(np.asarray(dhat, dtype=float))
-    return float(np.max(np.abs(m)))
-
-
-def _inverse_stats(rhat, pop_matrix: np.ndarray):
-    """Return (Rhat^{-1} as action, trace of inverse, trace of inv*R*inv)."""
-    if isinstance(rhat, ShrinkageEstimate):
-        u, d = rhat.basis, rhat.dhat
-        tri = float(np.sum(1.0 / d))
-        diag_uru = np.sum(u * (pop_matrix @ u), axis=0)
-        t2 = float(np.sum(diag_uru / (d * d)))
-        return tri, t2
-    m = np.asarray(getattr(rhat, "entries", rhat), dtype=float)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("estimate is not positive definite") from exc
-    inv = np.linalg.inv(m)
-    tri = float(np.trace(inv))
-    t2 = float(np.trace(inv @ pop_matrix @ inv))
-    return tri, t2
-
-
-def _as_matrix(x) -> np.ndarray:
-    return np.asarray(getattr(x, "entries", x), dtype=float)
-
-
-def snr_exact(mu: np.ndarray, rhat, pop) -> float:
-    """Direction-specific SNR functional (mu' Rhat^{-1} mu)^2 / (mu' Rhat^{-1} R Rhat^{-1} mu)."""
-    mu = np.asarray(mu, dtype=float)
-    _require_finite(mu, "mean direction")
-    if not np.any(mu != 0.0):
-        raise DomainError("mean direction must be nonzero")
-    r = _as_matrix(pop)
-    if isinstance(rhat, ShrinkageEstimate):
-        y = rhat.basis.T @ mu
-        w = y / rhat.dhat
-        rinv_mu = rhat.basis @ w
-        quad = float(y @ w)
-    else:
-        m = _as_matrix(rhat)
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("estimate is not positive definite") from exc
-        rinv_mu = np.linalg.solve(m, mu)
-        quad = float(mu @ rinv_mu)
-    denom = float(rinv_mu @ r @ rinv_mu)
-    return quad * quad / denom
-
-
-def snr_proxy(rhat, pop, p: int) -> float:
-    """Direction-averaged SNR proxy (tr Rhat^{-1})^2 / (p * tr(Rhat^{-1} R Rhat^{-1}))."""
-    r = _as_matrix(pop)
-    dim = rhat.p if isinstance(rhat, ShrinkageEstimate) else _as_matrix(rhat).shape[0]
-    if p != dim or r.shape != (p, p):
-        raise StructuralError("dimension mismatch in SNR proxy")
-    tri, t2 = _inverse_stats(rhat, r)
-    return tri * tri / (p * t2)
 
 
 @dataclass(frozen=True)
@@ -331,12 +243,13 @@ _RANGE_DECADES = 1e6
 
 
 def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
-    """Maximize the SNR proxy of S + lambda*I over the loading lambda.
+    """Maximize the SNR proxy of A = S + lambda*I over the loading lambda.
 
-    The objective is evaluated in the eigenbasis of S: with w_i = (U'RU)_ii
-    precomputed once, each evaluation costs O(p).  A range-plus-null
-    decomposition carries the null space's total weight, tr R minus the
-    range w_i.  The search scans 64 points of log-lambda over
+    The proxy is the direction-averaged (tr A^{-1})^2 / (p tr(A^{-1} R A^{-1})),
+    R the population covariance.  It is evaluated in the eigenbasis of S:
+    with w_i = (U'RU)_ii precomputed once, each evaluation costs O(p).  A
+    range-plus-null decomposition carries the null space's total weight,
+    tr R minus the range w_i.  The search scans 64 points of log-lambda over
     [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
     interval by golden section to absolute log-tolerance 1e-6.
     """

@@ -3,9 +3,9 @@
 A run is a pure function of its configuration.  Per-trial randomness comes
 from seed streams derived as SeedSequence([seed, stream, trial, hypothesis]),
 so results are bit-identical regardless of how many worker threads execute
-the trials (each trial writes into its own preallocated slot).  While an
-engine runs, every loaded OpenBLAS is held at one thread, so the bits do not
-depend on the BLAS thread count either.
+the trials (each trial writes into its own preallocated slot).  While the
+trial engine runs, every loaded OpenBLAS is held at one thread, so the bits
+do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,6 +37,8 @@ from .errors import DomainError, StructuralError
 from .spectral import (
     DataMatrix,
     SamplePair,
+    SpectralDecomposition,
+    SymMatrix,
     _readonly,
     decompose_pair,
     pooled_scm,
@@ -73,9 +75,6 @@ class CovarianceModel:
     @property
     def p(self) -> int:
         return self.diag.size
-
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diag)
 
 
 def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) -> CovarianceModel:
@@ -180,10 +179,6 @@ class SimulationConfig:
         if not kinds:
             raise StructuralError("at least one detector is required")
         object.__setattr__(self, "detectors", kinds)
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2 - 2
 
     def as_dict(self) -> dict:
         return {
@@ -338,58 +333,73 @@ class ScoreTable:
         return tuple(k for k in self.config.detectors if k in self.h0)
 
 
-_DECOMP_KINDS = frozenset(
-    {DetectorKind.HOTELLING, DetectorKind.PROPOSED_LW, DetectorKind.LAPPW}
-)
+class _PairContext:
+    """One sample pair with its pooled SCM and decomposition, each formed at most once.
+
+    Both are formed on first use.  For p <= n1 + n2 the decomposition reuses
+    the SCM; for p > n1 + n2 it comes from the Gram side and no p x p matrix
+    is formed.  The caches are plain attributes: each pair is scored on one
+    thread, so there is nothing to lock.
+    """
+
+    def __init__(self, pair: SamplePair, model: CovarianceModel):
+        self.pair = pair
+        self.model = model
+        self._scm = None
+        self._decomp = None
+
+    @property
+    def scm(self) -> SymMatrix:
+        if self._scm is None:
+            self._scm = pooled_scm(self.pair)
+        return self._scm
+
+    @property
+    def decomp(self) -> SpectralDecomposition:
+        if self._decomp is None:
+            self._decomp = decompose_pair(self.pair, None if self.pair.gram_side else self.scm)
+        return self._decomp
+
+
+# Detector -> its score on a pair context.  The lambdas look each detector up
+# in this module's namespace at call time, so a function replaced there (by a
+# tracer or a test) is the one that runs.  bs96 reads the SCM when one is
+# formed for the decomposition anyway, and the spectrum otherwise.
+_DETECTORS = {
+    DetectorKind.HOTELLING: lambda c: hotelling_score(c.pair, decomp=c.decomp),
+    DetectorKind.PROPOSED_LW: lambda c: lw_score(c.pair, decomp=c.decomp),
+    DetectorKind.BS96: lambda c: (
+        bs96_score(c.pair, decomp=c.decomp) if c.pair.gram_side else bs96_score(c.pair, scm=c.scm)
+    ),
+    DetectorKind.CQ10: lambda c: cq10_score(c.pair),
+    DetectorKind.LAPPW: lambda c: lappw_score(c.pair, c.model, decomp=c.decomp),
+    DetectorKind.MAHALANOBIS_ORACLE: lambda c: mahalanobis_score(c.pair, c.model),
+}
 
 
 def _score_pair(pair: SamplePair, kinds, model: CovarianceModel) -> dict:
     """Score one sample pair with every requested detector.
 
-    The pair is decomposed at most once.  bs96 reads the pooled SCM, formed
-    once and shared with the decomposition, when p <= n1 + n2, and the
-    spectrum otherwise, so no p x p matrix is formed when p > n1 + n2.
     Precondition failures (DomainError family) are recorded as the exception
     so the caller can drop that detector's column; anything else propagates.
     """
-    scm = decomp = None
-    bs96 = DetectorKind.BS96 in kinds
-    if bs96 and not pair.gram_side:
-        scm = pooled_scm(pair)
-    if any(k in _DECOMP_KINDS for k in kinds) or (bs96 and scm is None):
-        decomp = decompose_pair(pair, scm)
+    ctx = _PairContext(pair, model)
     out = {}
     for kind in kinds:
         try:
-            if kind is DetectorKind.HOTELLING:
-                if pair.p > pair.n:
-                    res = hotelling_score(pair)  # raises the precondition error
-                else:
-                    res = hotelling_score(pair, decomp=decomp)
-            elif kind is DetectorKind.PROPOSED_LW:
-                res = lw_score(pair, decomp=decomp)
-            elif kind is DetectorKind.BS96:
-                res = bs96_score(pair, scm=scm, decomp=decomp)
-            elif kind is DetectorKind.CQ10:
-                res = cq10_score(pair)
-            elif kind is DetectorKind.LAPPW:
-                res = lappw_score(pair, model, decomp=decomp)
-            elif kind is DetectorKind.MAHALANOBIS_ORACLE:
-                res = mahalanobis_score(pair, model)
-            else:  # pragma: no cover - enum is closed
-                raise StructuralError(f"unhandled detector {kind}")
-            out[kind] = res.score
+            out[kind] = _DETECTORS[kind](ctx).score
         except DomainError as exc:
             out[kind] = exc
     return out
 
 
-def run_trials(config: SimulationConfig) -> ScoreTable:
-    """Run the full two-hypothesis Monte Carlo described by the config.
+def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
+    """The trial engine: (model, per-trial list of one score dict per hypothesis).
 
-    Each trial draws an independent H0 pair (both means zero) and an
-    independent H1 pair (group 1 mean drawn fresh from the radius sphere).
-    The covariance model's eps draws are fixed once per run.
+    Trial t under hypothesis h draws from its own stream trial_seed(seed, t, h):
+    under H0 both group means are zero, and under H1 the group 1 mean is
+    drawn first, fresh from the radius sphere.  The covariance model's eps
+    draws are fixed once per run.
     """
     model = make_covariance(
         config.cov_order,
@@ -398,29 +408,31 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
         seed=tuple(model_seed(config.seed)),
     )
     zeros = np.zeros(config.p)
+
+    def one_trial(t: int) -> tuple:
+        scores = []
+        for h in hypotheses:
+            rng = _trial_rng(config.seed, t, h)
+            mu = sample_sphere(config.p, config.radius, rng) if h else zeros
+            pair = SamplePair(
+                generate_sample(model, mu, config.n1, rng, config.base_dist),
+                generate_sample(model, zeros, config.n2, rng, config.base_dist),
+            )
+            scores.append(_score_pair(pair, config.detectors, model))
+        return tuple(scores)
+
+    return model, _map_trials(one_trial, config.trials)
+
+
+def run_trials(config: SimulationConfig) -> ScoreTable:
+    """Run the full two-hypothesis Monte Carlo described by the config.
+
+    Each trial draws an independent H0 pair and an independent H1 pair.  A
+    detector that failed its precondition on any trial is dropped entirely,
+    with the first failure in trial order as the reason.
+    """
+    model, results = _run(config, (0, 1))
     kinds = config.detectors
-
-    def one_trial(t: int):
-        rng0 = _trial_rng(config.seed, t, 0)
-        pair0 = SamplePair(
-            generate_sample(model, zeros, config.n1, rng0, config.base_dist),
-            generate_sample(model, zeros, config.n2, rng0, config.base_dist),
-        )
-        rng1 = _trial_rng(config.seed, t, 1)
-        mu = sample_sphere(config.p, config.radius, rng1)
-        pair1 = SamplePair(
-            generate_sample(model, mu, config.n1, rng1, config.base_dist),
-            generate_sample(model, zeros, config.n2, rng1, config.base_dist),
-        )
-        return (
-            _score_pair(pair0, kinds, model),
-            _score_pair(pair1, kinds, model),
-        )
-
-    results = _map_trials(one_trial, config.trials)
-
-    # Aggregate in trial order; a detector that failed its precondition on any
-    # trial is dropped entirely, with the first failure as the reason.
     absent = {}
     h0 = {k: np.empty(config.trials) for k in kinds}
     h1 = {k: np.empty(config.trials) for k in kinds}
@@ -438,7 +450,7 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
     for kind in list(h0):
         h0[kind] = _readonly(h0[kind])
         h1[kind] = _readonly(h1[kind])
-    return ScoreTable(config=config, model=model, h0=h0, h1=h1, absent={k: v for k, v in absent.items()})
+    return ScoreTable(config=config, model=model, h0=h0, h1=h1, absent=absent)
 
 
 @dataclass(frozen=True)
@@ -523,26 +535,18 @@ def normality_check(z: np.ndarray) -> NormalitySummary:
 def null_z_samples(config: SimulationConfig) -> np.ndarray:
     """Z scores of the shrinkage detector over H0-only trials.
 
-    Uses the same per-trial H0 seed streams as run_trials, so a null check is
-    consistent with the matching simulate run.
+    Runs the trial engine on the H0 streams of run_trials with lw alone, so
+    a null check is consistent with the matching simulate run.  The first
+    precondition failure in trial order is raised.
     """
-    model = make_covariance(
-        config.cov_order,
-        config.p,
-        np.random.default_rng(np.random.SeedSequence(model_seed(config.seed))),
-        seed=tuple(model_seed(config.seed)),
-    )
-    zeros = np.zeros(config.p)
-
-    def one(t: int) -> float:
-        rng = _trial_rng(config.seed, t, 0)
-        pair = SamplePair(
-            generate_sample(model, zeros, config.n1, rng, config.base_dist),
-            generate_sample(model, zeros, config.n2, rng, config.base_dist),
-        )
-        return lw_score(pair).score
-
-    return np.array(_map_trials(one, config.trials), dtype=float)
+    _, results = _run(replace(config, detectors=(DetectorKind.PROPOSED_LW,)), (0,))
+    z = np.empty(config.trials)
+    for t, (r0,) in enumerate(results):
+        v = r0[DetectorKind.PROPOSED_LW]
+        if isinstance(v, Exception):
+            raise v
+        z[t] = v
+    return z
 
 
 def write_scores_csv(table: ScoreTable, path) -> None:

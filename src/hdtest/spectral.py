@@ -15,7 +15,6 @@ null space is then left implicit (range-plus-null form).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +63,11 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class SamplePair:
-    """Two independent samples sharing one coordinate space."""
+    """Two independent samples sharing one coordinate space.
+
+    The group means xbar1, xbar2 and their difference mean_diff are computed
+    once, at construction.
+    """
 
     x1: DataMatrix
     x2: DataMatrix
@@ -78,6 +81,11 @@ class SamplePair:
             )
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
+        xbar1 = x1.entries.mean(axis=1)
+        xbar2 = x2.entries.mean(axis=1)
+        object.__setattr__(self, "xbar1", xbar1)
+        object.__setattr__(self, "xbar2", xbar2)
+        object.__setattr__(self, "mean_diff", xbar1 - xbar2)
 
     @property
     def p(self) -> int:
@@ -105,18 +113,6 @@ class SamplePair:
     def diff_scale(self) -> float:
         """The balanced-design scale n1*n2/(n1+n2)."""
         return self.n1 * self.n2 / (self.n1 + self.n2)
-
-    @cached_property
-    def xbar1(self) -> np.ndarray:
-        return self.x1.entries.mean(axis=1)
-
-    @cached_property
-    def xbar2(self) -> np.ndarray:
-        return self.x2.entries.mean(axis=1)
-
-    @cached_property
-    def mean_diff(self) -> np.ndarray:
-        return self.xbar1 - self.xbar2
 
 
 @dataclass(frozen=True)

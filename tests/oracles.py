@@ -44,6 +44,12 @@ def shrink_mp(evals, n, p, dps=50):
         return out
 
 
+def snr_proxy_dense(m, r):
+    """SNR proxy (tr A^-1)^2 / (p * tr(A^-1 R A^-1)) with A^-1 = inv(m), by dense inversion."""
+    inv = np.linalg.inv(m)
+    return float(np.trace(inv)) ** 2 / (m.shape[0] * float(np.trace(inv @ r @ inv)))
+
+
 def cq10_double_loop(x1, x2):
     """CQ10 statistic straight from its definition, O(n^2 p)."""
     n1, n2 = x1.shape[1], x2.shape[1]

@@ -35,6 +35,7 @@ def run_simulate(out_dir, extra=()):
 
 def check_environment(manifest, workers):
     env = manifest["environment"]
+    assert env["platform"] == platform.platform()
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     assert env["scipy"] == scipy.__version__
@@ -199,6 +200,19 @@ class TestNullCheckCommand:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_equal_aspect_ratio_exits_3(self, tmp_path, capsys):
+        # p = n1 + n2 - 2 = 10: every trial's shrinkage is undefined
+        with pytest.warns(UserWarning, match="truncated"):
+            code = main(
+                [
+                    "null-check",
+                    "--p", "10", "--n1", "6", "--n2", "6",
+                    "--trials", "5", "--out-dir", str(tmp_path / "x"),
+                ]
+            )
+        assert code == 3
+        assert "aspect ratio" in capsys.readouterr().err
 
 
 class TestShrinkCommand:

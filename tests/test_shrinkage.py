@@ -15,20 +15,16 @@ from hdtest.shrinkage import (
     KernelContext,
     LoadingResult,
     ShrinkageEstimate,
-    eigenbasis_coupling,
     kernel_ab,
     lw_covariance,
     optimize_loading,
     oracle_diagnostics,
     shrink_eigenvalues,
-    snr_exact,
-    snr_proxy,
-    stieltjes_s,
 )
 from hdtest.simulation import generate_sample, make_covariance
 from hdtest.spectral import SamplePair, SpectralDecomposition, pooled_scm, spectral_decompose
 
-from oracles import kernel_ab_mp, shrink_mp
+from oracles import kernel_ab_mp, shrink_mp, snr_proxy_dense
 
 SQRT5 = math.sqrt(5.0)
 
@@ -43,7 +39,6 @@ FIX_A_AB = {
     0.5: (0.5940188254743457182232031, 0.7211319227436821770919585),
     3.0: (-0.3484195954442106420788514, 0.2683281572999747635691008),
 }
-FIX_A_S_15 = complex(-0.4107709156641401119958967, 1.343495817311538922691157)
 FIX_A_DHAT = (1.378110831940340062533876, 1.67024705898330210593391)
 
 # B: rank-deficient p > n case exercising the zero-eigenvalue branch.
@@ -141,14 +136,6 @@ class TestKernelSums:
             assert a == pytest.approx(float(a_ref), rel=1e-12, abs=1e-14)
             assert b == pytest.approx(float(b_ref), rel=1e-12, abs=1e-14)
 
-    def test_stieltjes_boundary_value(self):
-        s = stieltjes_s(1.5, ctx_a())
-        assert s.real == pytest.approx(FIX_A_S_15.real, rel=1e-12)
-        assert s.imag == pytest.approx(FIX_A_S_15.imag, rel=1e-12)
-        # definition: pi*(a+ib)/min(n,p)
-        a, b = kernel_ab(1.5, ctx_a())
-        assert s == complex(math.pi * a / 2, math.pi * b / 2)
-
 
 class TestShrinkEigenvalues:
     def test_frozen_two_eigenvalue_fixture(self):
@@ -216,15 +203,6 @@ class TestLwCovariance:
         rebuilt = (decomp.eigenvectors * est.dhat) @ decomp.eigenvectors.T
         np.testing.assert_allclose(m, rebuilt)
 
-    def test_inverse_quad_matches_dense_inverse(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 30))
-        decomp = spectral_decompose(a @ a.T / 30)
-        est = lw_covariance(decomp, 30, 6)
-        v = rng.standard_normal(6)
-        want = float(v @ np.linalg.solve(est.matrix(), v))
-        assert est.inverse_quad(v) == pytest.approx(want, rel=1e-10)
-
     def test_estimate_rejects_nonpositive_dhat(self):
         with pytest.raises(DomainError):
             ShrinkageEstimate(np.eye(2), np.array([1.0, 0.0]), 8, 2)
@@ -266,89 +244,12 @@ class TestOracleDiagnostics:
         with pytest.raises(StructuralError):
             oracle_diagnostics(decomp, np.array([1.0]), np.array([1.0]), interval=(2.0, 1.0))
 
-    def test_coupling_zero_when_basis_diagonalizes(self):
-        decomp = decomp_from([3.0, 2.0])
-        assert eigenbasis_coupling(decomp, np.array([3.0, 2.0]), np.array([3.0, 2.0])) == 0.0
-        assert eigenbasis_coupling(decomp, np.array([1.0, 2.0]), np.array([3.0, 2.0])) == 2.0
-
     def test_range_plus_null_decomposition_is_rejected(self):
-        # both diagnostics read every direction's eigenvector
+        # the diagnostics read every direction's eigenvector
         split = SpectralDecomposition(np.array([3.0, 0.0]), np.eye(2)[:, :1])
         dhat, pop = np.array([3.0, 1.0]), np.array([3.0, 1.0])
         with pytest.raises(StructuralError, match="full eigenbasis"):
             oracle_diagnostics(split, dhat, pop)
-        with pytest.raises(StructuralError, match="full eigenbasis"):
-            eigenbasis_coupling(split, dhat, pop)
-
-
-class TestSnrFunctionals:
-    def test_exact_identity_case(self):
-        assert snr_exact(np.array([1.0, 0.0]), np.eye(2), np.eye(2)) == pytest.approx(1.0)
-
-    def test_exact_mismatched_estimate(self):
-        # rhat = I, R = diag(1,4), mu = e2: 1 / 4
-        r = np.diag([1.0, 4.0])
-        mu = np.array([0.0, 1.0])
-        assert snr_exact(mu, np.eye(2), r) == pytest.approx(0.25)
-
-    def test_exact_rejects_zero_direction(self):
-        with pytest.raises(DomainError):
-            snr_exact(np.zeros(2), np.eye(2), np.eye(2))
-
-    def test_exact_shrinkage_path_matches_dense(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 12))
-        decomp = spectral_decompose(a @ a.T / 12)
-        est = lw_covariance(decomp, 12, 4)
-        r = np.diag(rng.uniform(0.5, 2.0, size=4))
-        mu = rng.standard_normal(4)
-        dense = snr_exact(mu, est.matrix(), r)
-        assert snr_exact(mu, est, r) == pytest.approx(dense, rel=1e-10)
-
-    def test_proxy_frozen_value(self):
-        r = np.diag([1.0, 4.0])
-        assert snr_proxy(r, r, 2) == pytest.approx(0.625)
-
-    def test_proxy_matches_dense_inverse(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((5, 15))
-        decomp = spectral_decompose(a @ a.T / 15)
-        est = lw_covariance(decomp, 15, 5)
-        r = np.diag(rng.uniform(0.5, 3.0, size=5))
-        inv = np.linalg.inv(est.matrix())
-        want = np.trace(inv) ** 2 / (5 * np.trace(inv @ r @ inv))
-        assert snr_proxy(est, r, 5) == pytest.approx(float(want), rel=1e-10)
-
-    def test_proxy_scale_invariant_in_estimate(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((4, 10))
-        m = a @ a.T / 10
-        r = np.diag(rng.uniform(0.5, 2.0, size=4))
-        assert snr_proxy(3.7 * m, r, 4) == pytest.approx(snr_proxy(m, r, 4), rel=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31), p=st.integers(min_value=2, max_value=10))
-    def test_proxy_bounded_by_one_for_identity_population(self, seed, p):
-        # Cauchy-Schwarz: (tr A)^2 <= p * tr(A^2) for symmetric A = rhat^{-1}
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((p, p + 2))
-        m = a @ a.T / (p + 2)
-        assert snr_proxy(m, np.eye(p), p) <= 1.0 + 1e-12
-
-    def test_sphere_average_of_exact_tracks_proxy(self):
-        rng = np.random.default_rng(8)
-        with pytest.warns(UserWarning, match="truncated"):
-            model = make_covariance(0, 30, rng)
-        x1 = generate_sample(model, np.zeros(30), 50, rng)
-        x2 = generate_sample(model, np.zeros(30), 50, rng)
-        pair = SamplePair(x1, x2)
-        decomp = spectral_decompose(pooled_scm(pair))
-        est = lw_covariance(decomp, pair.n, pair.p)
-        r = model.dense()
-        draws = rng.standard_normal((400, 30))
-        draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-        avg = float(np.mean([snr_exact(mu, est, r) for mu in draws]))
-        assert avg == pytest.approx(snr_proxy(est, r, 30), rel=0.15)
 
 
 class TestOptimizeLoading:
@@ -376,6 +277,27 @@ class TestOptimizeLoading:
         assert scaled.lambda_star == pytest.approx(c * base.lambda_star, rel=1e-4)
         assert scaled.snr_at_optimum == pytest.approx(base.snr_at_optimum / c, rel=1e-9)
 
+    def test_objective_is_invariant_to_scaling_the_estimate(self):
+        # the proxy is invariant under A -> cA, so scaling S alone (R fixed)
+        # scales the optimal loading and leaves the optimum's value unchanged
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((6, 24))
+        m = a @ a.T / 24
+        pop = rng.uniform(0.5, 4.0, size=6)
+        base = optimize_loading(spectral_decompose(m), pop)
+        scaled = optimize_loading(spectral_decompose(3.7 * m), pop)
+        assert scaled.lambda_star == pytest.approx(3.7 * base.lambda_star, rel=1e-4)
+        assert scaled.snr_at_optimum == pytest.approx(base.snr_at_optimum, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31), p=st.integers(min_value=2, max_value=10))
+    def test_objective_bounded_by_one_for_identity_population(self, seed, p):
+        # Cauchy-Schwarz: (tr B)^2 <= p * tr(B^2) for symmetric B = A^{-1}
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p, p + 2))
+        res = optimize_loading(spectral_decompose(a @ a.T / (p + 2)), np.ones(p))
+        assert res.snr_at_optimum <= 1.0 + 1e-12
+
     def test_interior_optimum_beats_neighbours(self):
         # strongly spiked population: the optimum is interior, and nudging the
         # loading either way can only lower the objective
@@ -390,7 +312,7 @@ class TestOptimizeLoading:
         def proxy_at(lam_load: float) -> float:
             shifted = np.diag(decomp.eigenvalues) + lam_load * np.eye(50)
             m = decomp.eigenvectors @ shifted @ decomp.eigenvectors.T
-            return snr_proxy(m, model.dense(), 50)
+            return snr_proxy_dense(m, np.diag(model.diag))
 
         f0 = proxy_at(res.lambda_star)
         assert f0 == pytest.approx(res.snr_at_optimum, rel=1e-9)

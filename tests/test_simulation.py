@@ -15,7 +15,7 @@ from scipy import stats
 import hdtest
 from hdtest import detectors, simulation, spectral
 from hdtest.detectors import DetectorKind
-from hdtest.errors import DomainError, StructuralError
+from hdtest.errors import DomainError, StructuralError, UnsupportedAspectRatioError
 from hdtest.simulation import (
     CovarianceModel,
     RocCurve,
@@ -89,7 +89,8 @@ class TestMakeCovariance:
 
     def test_model_object(self):
         model = CovarianceModel(np.array([2.0, 1.0]), 0)
-        np.testing.assert_array_equal(model.dense(), np.diag([2.0, 1.0]))
+        np.testing.assert_array_equal(model.diag, [2.0, 1.0])
+        assert model.p == 2
         with pytest.raises(DomainError):
             CovarianceModel(np.array([1.0, 0.0]), 0)
 
@@ -173,7 +174,6 @@ class TestSimulationConfig:
     def test_detector_names_are_coerced(self):
         cfg = SimulationConfig(detectors=("lw", "cq10"), **SMALL)
         assert cfg.detectors == (DetectorKind.PROPOSED_LW, DetectorKind.CQ10)
-        assert cfg.n == SMALL["n1"] + SMALL["n2"] - 2
 
     def test_rejects_unknown_detector(self):
         with pytest.raises(StructuralError):
@@ -282,11 +282,53 @@ class TestRunTrials:
         assert set(shapes) == {(150, 78)}
         assert set(solved) == {80}
 
+    @pytest.mark.parametrize(
+        "name",
+        ["hotelling_score", "lw_score", "bs96_score", "cq10_score", "lappw_score", "mahalanobis_score"],
+    )
+    def test_detectors_are_looked_up_at_call_time(self, name, monkeypatch):
+        """A detector replaced in the simulation namespace after import is the
+        one the engine calls, once per pair."""
+        seen = []
+        monkeypatch.setattr(simulation, name, _recording(getattr(simulation, name), seen))
+        table = run_trials(SimulationConfig(**SMALL))
+        assert table.absent == {}
+        assert len(seen) == 2 * SMALL["trials"]
+
+    @pytest.mark.parametrize(
+        "kinds, scms, decomps",
+        [
+            (tuple(DetectorKind), 1, 1),
+            (("bs96", "cq10", "oracle"), 1, 0),
+            (("lappw", "lw"), 1, 1),
+            (("cq10", "oracle"), 0, 0),
+        ],
+        ids=["all", "scm-only", "decomp", "neither"],
+    )
+    def test_each_pair_forms_scm_and_decomposition_at_most_once(
+        self, kinds, scms, decomps, monkeypatch
+    ):
+        seen = {"pooled_scm": [], "decompose_pair": []}
+        for name, calls in seen.items():
+            monkeypatch.setattr(simulation, name, _recording(getattr(simulation, name), calls))
+        cfg = SimulationConfig(detectors=kinds, **SMALL)
+        run_trials(cfg)
+        assert len(seen["pooled_scm"]) == scms * 2 * cfg.trials
+        assert len(seen["decompose_pair"]) == decomps * 2 * cfg.trials
+
     def test_null_z_samples_consistent_with_run(self):
         cfg = SimulationConfig(**SMALL)
         z = null_z_samples(cfg)
         table = run_trials(cfg)
         np.testing.assert_array_equal(z, table.h0[DetectorKind.PROPOSED_LW])
+
+    def test_null_z_samples_raises_the_precondition_error(self):
+        # p = n1 + n2 - 2 = 10: the shrinkage map rejects every trial
+        cfg = SimulationConfig(p=10, n1=6, n2=6, trials=5)
+        with pytest.warns(UserWarning, match="truncated"):
+            with pytest.raises(UnsupportedAspectRatioError, match="aspect ratio") as info:
+                null_z_samples(cfg)
+        assert type(info.value) is UnsupportedAspectRatioError
 
 
 def _openblas_or_skip():
