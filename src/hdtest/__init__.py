@@ -27,12 +27,10 @@ from .errors import (
 from .shrinkage import (
     KernelContext,
     LoadingResult,
-    OracleDiagnostics,
     ShrinkageEstimate,
     kernel_ab,
     lw_covariance,
     optimize_loading,
-    oracle_diagnostics,
     shrink_eigenvalues,
 )
 from .simulation import (
@@ -91,8 +89,6 @@ __all__ = [
     "shrink_eigenvalues",
     "ShrinkageEstimate",
     "lw_covariance",
-    "OracleDiagnostics",
-    "oracle_diagnostics",
     "LoadingResult",
     "optimize_loading",
     # detectors

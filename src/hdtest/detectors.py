@@ -31,14 +31,9 @@ from .errors import (
     StructuralError,
 )
 from .shrinkage import optimize_loading, shrink_eigenvalues
-from .spectral import (
-    SamplePair,
-    SpectralDecomposition,
-    SymMatrix,
-    decompose_pair,
-    pooled_scm,
-    quad_form_inverse,
-)
+# Detectors read pair.scm; pooled_scm stays importable here because
+# perfbench/test_perfbench.py checks that its tracer rewraps it here.
+from .spectral import SamplePair, pooled_scm, quad_form_inverse  # noqa: F401
 
 # Relative eigenvalue floor below which the plain sample covariance is
 # declared numerically singular for the classical statistic.
@@ -97,9 +92,7 @@ def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
     return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
 
 
-def hotelling_score(
-    pair: SamplePair, *, decomp: SpectralDecomposition | None = None
-) -> ScoreResult:
+def hotelling_score(pair: SamplePair) -> ScoreResult:
     """Classical statistic on the inverse pooled sample covariance.
 
     Requires p <= n and a numerically nonsingular S_n.
@@ -108,8 +101,7 @@ def hotelling_score(
         raise SingularCovarianceError(
             f"sample covariance is singular for p={pair.p} > n={pair.n}"
         )
-    if decomp is None:
-        decomp = decompose_pair(pair)
+    decomp = pair.decomposition
     lam = decomp.eigenvalues
     if lam[0] <= 0.0 or lam[-1] < HOTELLING_SINGULARITY_TOL * lam[0]:
         raise SingularCovarianceError("pooled sample covariance is numerically singular")
@@ -117,49 +109,36 @@ def hotelling_score(
     return ScoreResult(DetectorKind.HOTELLING, score)
 
 
-def lw_score(
-    pair: SamplePair, *, decomp: SpectralDecomposition | None = None
-) -> ScoreResult:
+def lw_score(pair: SamplePair) -> ScoreResult:
     """Shrinkage statistic, centered and scaled to a standard-normal-like Z.
 
     aux carries the raw quadratic form 't2_lw'.
     """
-    if decomp is None:
-        decomp = decompose_pair(pair)
+    decomp = pair.decomposition
     dhat = shrink_eigenvalues(decomp, pair.n, pair.p)
     t2 = pair.diff_scale * quad_form_inverse(decomp, dhat, pair.mean_diff)
     z = (t2 - pair.p) / math.sqrt(2.0 * pair.p)
     return ScoreResult(DetectorKind.PROPOSED_LW, z, aux={"t2_lw": t2})
 
 
-def bs96_score(
-    pair: SamplePair,
-    *,
-    scm: SymMatrix | None = None,
-    decomp: SpectralDecomposition | None = None,
-) -> ScoreResult:
+def bs96_score(pair: SamplePair) -> ScoreResult:
     """Euclidean-norm statistic standardized by the trace-based variance estimate.
 
     B_n = n^2/((n+2)(n-1)) * (tr(S^2) - (tr S)^2 / n); the whole product
     (2(n+1)/n) * B_n sits under the square root.  tr S and tr(S^2) are read
-    off `scm` when given, else off the spectrum of `decomp` (sum of the
-    eigenvalues and of their squares); with neither, the SCM is formed when
-    p <= n1 + n2 and the pair is decomposed from the Gram side otherwise.
+    off pair.scm when p <= n1 + n2, and off the spectrum of
+    pair.decomposition (sum of the eigenvalues and of their squares)
+    otherwise, where no p x p matrix is formed.
     """
     n = pair.n
-    if scm is None and decomp is None:
-        if pair.gram_side:
-            decomp = decompose_pair(pair)
-        else:
-            scm = pooled_scm(pair)
-    if scm is not None:
-        s = scm.entries
-        tr = float(np.trace(s))
-        tr2 = float(np.sum(s * s))
-    else:
-        lam = decomp.eigenvalues
+    if pair.gram_side:
+        lam = pair.decomposition.eigenvalues
         tr = float(lam.sum())
         tr2 = float(lam @ lam)
+    else:
+        s = pair.scm.entries
+        tr = float(np.trace(s))
+        tr2 = float(np.sum(s * s))
     bn = n * n / ((n + 2.0) * (n - 1.0)) * (tr2 - tr * tr / n)
     if bn <= 0.0:
         raise DegenerateVarianceError(f"variance estimate B_n = {bn} is not positive")
@@ -187,20 +166,14 @@ def cq10_score(pair: SamplePair) -> ScoreResult:
     return ScoreResult(DetectorKind.CQ10, q1 + q2 - cross)
 
 
-def lappw_score(
-    pair: SamplePair,
-    pop,
-    *,
-    decomp: SpectralDecomposition | None = None,
-) -> ScoreResult:
+def lappw_score(pair: SamplePair, pop) -> ScoreResult:
     """Diagonal-loading statistic with the clairvoyantly optimized loading.
 
     The loading maximizes the SNR proxy against the true (diagonal) population
     covariance, so this detector is simulation-only and its performance is an
     upper bound for any data-driven choice.  aux carries 'loading'.
     """
-    if decomp is None:
-        decomp = decompose_pair(pair)
+    decomp = pair.decomposition
     res = optimize_loading(decomp, pop)
     d = decomp.eigenvalues + res.lambda_star
     score = pair.diff_scale * quad_form_inverse(decomp, d, pair.mean_diff)

@@ -190,44 +190,6 @@ def _pop_diag(pop) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OracleDiagnostics:
-    """Per-direction oracle variances and the interval-averaged shrinkage bias."""
-
-    sigma2: np.ndarray
-    bias: float
-
-
-def oracle_diagnostics(
-    decomp: SpectralDecomposition,
-    dhat: np.ndarray,
-    pop,
-    interval: tuple[float, float] = (0.0, math.inf),
-) -> OracleDiagnostics:
-    """Compare shrunk eigenvalues with the oracle variances u_i' R u_i.
-
-    The bias averages (dhat_j - sigma2_j) over the directions whose *sample*
-    eigenvalue falls inside the closed interval, normalized by p.  Requires
-    the true (diagonal) population covariance, so it is simulation-only.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo <= hi:
-        raise StructuralError(f"empty interval [{lo}, {hi}]")
-    diag = _pop_diag(pop)
-    if diag.size != decomp.p:
-        raise StructuralError("population dimension mismatch")
-    dhat = np.asarray(dhat, dtype=float)
-    if dhat.shape != (decomp.p,):
-        raise StructuralError("dhat length mismatch")
-    if decomp.eigenvectors.shape[1] != decomp.p:
-        raise StructuralError("needs a full eigenbasis, got a range-plus-null decomposition")
-    u = decomp.eigenvectors
-    sigma2 = (u * u * diag[:, None]).sum(axis=0)
-    inside = (decomp.eigenvalues >= lo) & (decomp.eigenvalues <= hi)
-    bias = float(np.sum(dhat[inside] - sigma2[inside]) / decomp.p)
-    return OracleDiagnostics(_readonly(sigma2), bias)
-
-
-@dataclass(frozen=True)
 class LoadingResult:
     """Outcome of the diagonal-loading search."""
 

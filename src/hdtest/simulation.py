@@ -34,15 +34,9 @@ from .detectors import (
     mahalanobis_score,
 )
 from .errors import DomainError, StructuralError
-from .spectral import (
-    DataMatrix,
-    SamplePair,
-    SpectralDecomposition,
-    SymMatrix,
-    _readonly,
-    decompose_pair,
-    pooled_scm,
-)
+# Pairs form their own SCM; pooled_scm stays importable here because
+# perfbench/test_perfbench.py checks that its tracer rewraps it here.
+from .spectral import DataMatrix, SamplePair, _readonly, pooled_scm  # noqa: F401
 
 SQRT3 = math.sqrt(3.0)
 SPIKE_BLOCK = 40
@@ -105,8 +99,8 @@ def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray
     """Uniform draw from the sphere of the given radius (normalized Gaussian)."""
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
-    if radius < 0.0:
-        raise DomainError(f"radius must be >= 0, got {radius}")
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise DomainError(f"radius must be finite and >= 0, got {radius}")
     if radius == 0.0:
         return np.zeros(p)
     while True:
@@ -166,8 +160,8 @@ class SimulationConfig:
             raise StructuralError(f"trials must be >= 1, got {self.trials}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise StructuralError("seed must be a non-negative integer")
-        if self.radius < 0.0:
-            raise StructuralError(f"radius must be >= 0, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise StructuralError(f"radius must be finite and >= 0, got {self.radius}")
         if self.cov_order < 0:
             raise StructuralError(f"cov order must be >= 0, got {self.cov_order}")
         if self.base_dist not in _BASE_DISTS:
@@ -333,47 +327,17 @@ class ScoreTable:
         return tuple(k for k in self.config.detectors if k in self.h0)
 
 
-class _PairContext:
-    """One sample pair with its pooled SCM and decomposition, each formed at most once.
-
-    Both are formed on first use.  For p <= n1 + n2 the decomposition reuses
-    the SCM; for p > n1 + n2 it comes from the Gram side and no p x p matrix
-    is formed.  The caches are plain attributes: each pair is scored on one
-    thread, so there is nothing to lock.
-    """
-
-    def __init__(self, pair: SamplePair, model: CovarianceModel):
-        self.pair = pair
-        self.model = model
-        self._scm = None
-        self._decomp = None
-
-    @property
-    def scm(self) -> SymMatrix:
-        if self._scm is None:
-            self._scm = pooled_scm(self.pair)
-        return self._scm
-
-    @property
-    def decomp(self) -> SpectralDecomposition:
-        if self._decomp is None:
-            self._decomp = decompose_pair(self.pair, None if self.pair.gram_side else self.scm)
-        return self._decomp
-
-
-# Detector -> its score on a pair context.  The lambdas look each detector up
-# in this module's namespace at call time, so a function replaced there (by a
-# tracer or a test) is the one that runs.  bs96 reads the SCM when one is
-# formed for the decomposition anyway, and the spectrum otherwise.
+# Detector -> its score on a pair under a covariance model.  The lambdas look
+# each detector up in this module's namespace at call time, so a function
+# replaced there (by a tracer or a test) is the one that runs.  The detectors
+# share the pair's SCM and decomposition, which the pair forms once.
 _DETECTORS = {
-    DetectorKind.HOTELLING: lambda c: hotelling_score(c.pair, decomp=c.decomp),
-    DetectorKind.PROPOSED_LW: lambda c: lw_score(c.pair, decomp=c.decomp),
-    DetectorKind.BS96: lambda c: (
-        bs96_score(c.pair, decomp=c.decomp) if c.pair.gram_side else bs96_score(c.pair, scm=c.scm)
-    ),
-    DetectorKind.CQ10: lambda c: cq10_score(c.pair),
-    DetectorKind.LAPPW: lambda c: lappw_score(c.pair, c.model, decomp=c.decomp),
-    DetectorKind.MAHALANOBIS_ORACLE: lambda c: mahalanobis_score(c.pair, c.model),
+    DetectorKind.HOTELLING: lambda pair, model: hotelling_score(pair),
+    DetectorKind.PROPOSED_LW: lambda pair, model: lw_score(pair),
+    DetectorKind.BS96: lambda pair, model: bs96_score(pair),
+    DetectorKind.CQ10: lambda pair, model: cq10_score(pair),
+    DetectorKind.LAPPW: lambda pair, model: lappw_score(pair, model),
+    DetectorKind.MAHALANOBIS_ORACLE: lambda pair, model: mahalanobis_score(pair, model),
 }
 
 
@@ -383,11 +347,10 @@ def _score_pair(pair: SamplePair, kinds, model: CovarianceModel) -> dict:
     Precondition failures (DomainError family) are recorded as the exception
     so the caller can drop that detector's column; anything else propagates.
     """
-    ctx = _PairContext(pair, model)
     out = {}
     for kind in kinds:
         try:
-            out[kind] = _DETECTORS[kind](ctx).score
+            out[kind] = _DETECTORS[kind](pair, model).score
         except DomainError as exc:
             out[kind] = exc
     return out
@@ -414,11 +377,10 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
         for h in hypotheses:
             rng = _trial_rng(config.seed, t, h)
             mu = sample_sphere(config.p, config.radius, rng) if h else zeros
-            pair = SamplePair(
-                generate_sample(model, mu, config.n1, rng, config.base_dist),
-                generate_sample(model, zeros, config.n2, rng, config.base_dist),
-            )
-            scores.append(_score_pair(pair, config.detectors, model))
+            x1 = generate_sample(model, mu, config.n1, rng, config.base_dist)
+            x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist)
+            # Unnamed, the pair frees its SCM and decomposition once scored.
+            scores.append(_score_pair(SamplePair(x1, x2), config.detectors, model))
         return tuple(scores)
 
     return model, _map_trials(one_trial, config.trials)

@@ -6,10 +6,12 @@ pinned here once: eigenvalues in non-increasing order, a deterministic sign
 convention on eigenvectors, and a relative clip that maps tiny negative
 eigenvalues of a PSD matrix to exactly zero.
 
-A sample pair is decomposed by `decompose_pair`.  When p > n1 + n2 the
-pooled covariance has rank at most n1 + n2 - 2, and its range eigenpairs come
-from the small (n1 + n2) x (n1 + n2) Gram matrix of the centred data; the
-null space is then left implicit (range-plus-null form).
+A sample pair owns its pooled covariance (`pair.scm`) and its
+decomposition (`pair.decomposition`, formed by `decompose_pair`), each formed
+on first use and then kept, so every statistic read off one pair shares them.
+When p > n1 + n2 the pooled covariance has rank at most n1 + n2 - 2, and its
+range eigenpairs come from the small (n1 + n2) x (n1 + n2) Gram matrix of the
+centred data; the null space is then left implicit (range-plus-null form).
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ class SamplePair:
     """Two independent samples sharing one coordinate space.
 
     The group means xbar1, xbar2 and their difference mean_diff are computed
-    once, at construction.
+    once, at construction.  The pooled covariance `scm` and its
+    `decomposition` are formed on first use and then kept for the pair's
+    lifetime.  The caches are plain attributes with no lock: two threads
+    that first read one at the same time may each form it.
     """
 
     x1: DataMatrix
@@ -86,6 +91,22 @@ class SamplePair:
         object.__setattr__(self, "xbar1", xbar1)
         object.__setattr__(self, "xbar2", xbar2)
         object.__setattr__(self, "mean_diff", xbar1 - xbar2)
+        object.__setattr__(self, "_scm", None)
+        object.__setattr__(self, "_decomposition", None)
+
+    @property
+    def scm(self) -> SymMatrix:
+        """The pooled sample covariance, pooled_scm(self)."""
+        if self._scm is None:
+            object.__setattr__(self, "_scm", pooled_scm(self))
+        return self._scm
+
+    @property
+    def decomposition(self) -> SpectralDecomposition:
+        """The pooled covariance's eigendecomposition, decompose_pair(self)."""
+        if self._decomposition is None:
+            object.__setattr__(self, "_decomposition", decompose_pair(self))
+        return self._decomposition
 
     @property
     def p(self) -> int:
@@ -210,11 +231,10 @@ def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(vals, _fix_signs(vecs))
 
 
-def decompose_pair(pair: SamplePair, scm: SymMatrix | None = None) -> SpectralDecomposition:
+def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     """Eigendecomposition of the pair's pooled sample covariance.
 
-    For p <= n1 + n2 this is spectral_decompose(scm), with `scm` the pair's
-    pooled_scm (formed here unless the caller passes it).  For p > n1 + n2
+    For p <= n1 + n2 this is spectral_decompose(pair.scm).  For p > n1 + n2
     no p x p matrix is formed: with C the p x N centred data (N = n1 + n2),
     the N x N Gram matrix C'C/n has the same nonzero eigenvalues as
     S = CC'/n, and an eigenvector w of it with eigenvalue lambda > 0 gives the
@@ -224,7 +244,7 @@ def decompose_pair(pair: SamplePair, scm: SymMatrix | None = None) -> SpectralDe
     symmetry check, clip and sign convention as the p x p path.
     """
     if not pair.gram_side:
-        return spectral_decompose(pooled_scm(pair) if scm is None else scm)
+        return spectral_decompose(pair.scm)
     c = np.concatenate((pair.x1.entries, pair.x2.entries), axis=1)
     c[:, : pair.n1] -= pair.xbar1[:, None]
     c[:, pair.n1 :] -= pair.xbar2[:, None]

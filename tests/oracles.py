@@ -2,11 +2,20 @@
 
 Everything here is deliberately written the slow, obvious way (or with
 high-precision arithmetic) so it shares no code with the implementation under
-test.
+test.  The one exception is `dense_path_scores`, the p x p reference for the
+Gram-side decomposition, which composes the library's public primitives on
+the dense decomposition of the pooled covariance.
 """
+
+import math
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+
+from hdtest.errors import StructuralError
+from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
+from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose
 
 
 def kernel_ab_mp(lam, evals, n, dps=50):
@@ -42,6 +51,58 @@ def shrink_mp(evals, n, p, dps=50):
             denom = abs(1 - ratio - ratio * mp.mpf(ev) * s) ** 2
             out.append(mp.mpf(ev) / denom)
         return out
+
+
+class OracleDiagnostics(NamedTuple):
+    """Per-direction oracle variances and the interval-averaged shrinkage bias."""
+
+    sigma2: np.ndarray
+    bias: float
+
+
+def oracle_diagnostics(decomp, dhat, pop, interval=(0.0, math.inf)):
+    """Compare shrunk eigenvalues with the oracle variances u_i' R u_i.
+
+    R is the true diagonal population covariance (a model with a `diag`
+    vector, or the vector itself).  The bias averages (dhat_j - sigma2_j)
+    over the directions whose *sample* eigenvalue falls inside the closed
+    interval, normalized by p.  Every direction's eigenvector is needed, so
+    a range-plus-null decomposition is rejected.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo <= hi:
+        raise StructuralError(f"empty interval [{lo}, {hi}]")
+    diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
+    u = decomp.eigenvectors
+    p = decomp.p
+    if diag.shape != (p,) or np.shape(dhat) != (p,):
+        raise StructuralError("dimension mismatch")
+    if u.shape[1] != p:
+        raise StructuralError("needs a full eigenbasis, got a range-plus-null decomposition")
+    sigma2 = np.array([float(u[:, i] @ (diag * u[:, i])) for i in range(p)])
+    inside = [i for i in range(p) if lo <= decomp.eigenvalues[i] <= hi]
+    bias = sum(float(dhat[i]) - sigma2[i] for i in inside) / p
+    return OracleDiagnostics(sigma2, bias)
+
+
+def dense_path_scores(pair, pop):
+    """lw, lappw and bs96 scores read off the dense p x p pooled covariance.
+
+    Each statistic is the detector's formula on spectral_decompose(S), S the
+    pair's pooled_scm; bs96 takes tr S and ||S||_F^2 from the dense matrix.
+    """
+    s = pooled_scm(pair).entries
+    full = spectral_decompose(s)
+    n, p, k, v = pair.n, pair.p, pair.diff_scale, pair.mean_diff
+    t2 = k * quad_form_inverse(full, shrink_eigenvalues(full, n, p), v)
+    loading = optimize_loading(full, pop).lambda_star
+    tr, tr2 = float(np.trace(s)), float(np.sum(s * s))
+    bn = n * n / ((n + 2.0) * (n - 1.0)) * (tr2 - tr * tr / n)
+    return {
+        "lw": (t2 - p) / math.sqrt(2.0 * p),
+        "lappw": k * quad_form_inverse(full, full.eigenvalues + loading, v),
+        "bs96": (k * float(v @ v) - tr) / math.sqrt((2.0 * (n + 1.0) / n) * bn),
+    }
 
 
 def snr_proxy_dense(m, r):

@@ -16,6 +16,7 @@ from oracles import (
     cq10_double_loop,
     hanley_mcneil_se,
     norm_detector_auc,
+    oracle_diagnostics,
     pv_hilbert,
     shrink_mp,
     snr_proxy_dense,
@@ -27,7 +28,6 @@ from hdtest.shrinkage import (
     KernelContext,
     _kernel_sums,
     optimize_loading,
-    oracle_diagnostics,
     shrink_eigenvalues,
 )
 from hdtest.simulation import (

@@ -130,6 +130,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_exits_2(self, tmp_path, capsys, radius):
+        code = run_simulate(tmp_path / "x", extra=["--radius", radius])
+        assert code == 2
+        assert "radius must be finite" in capsys.readouterr().err
+
     def test_missing_out_dir_flag_exits_2(self, capsys):
         assert main(["simulate"]) == 2
         capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdtest import spectral
 from hdtest.detectors import (
     DetectorKind,
     ScoreResult,
@@ -26,12 +27,11 @@ from hdtest.shrinkage import lw_covariance
 from hdtest.spectral import (
     DataMatrix,
     SamplePair,
-    decompose_pair,
     pooled_scm,
     spectral_decompose,
 )
 
-from oracles import cq10_double_loop
+from oracles import cq10_double_loop, dense_path_scores
 
 
 def pair_from(x1, x2) -> SamplePair:
@@ -110,11 +110,6 @@ class TestHotelling:
         with pytest.raises(SingularCovarianceError):
             hotelling_score(pair)
 
-    def test_accepts_precomputed_decomposition(self):
-        _, pair = model_pair(4, 5, 10, 10)
-        decomp = spectral_decompose(pooled_scm(pair))
-        assert hotelling_score(pair, decomp=decomp).score == hotelling_score(pair).score
-
 
 class TestLwDetector:
     def test_equal_means_give_minus_sqrt_half_p(self):
@@ -134,9 +129,8 @@ class TestLwDetector:
 
     def test_override_matches_manual_quadratic_form(self):
         _, pair = model_pair(6, 6, 15, 15)
-        decomp = spectral_decompose(pooled_scm(pair))
-        est = lw_covariance(decomp, pair.n, pair.p)
-        res = lw_score(pair, decomp=decomp)
+        est = lw_covariance(spectral_decompose(pooled_scm(pair)), pair.n, pair.p)
+        res = lw_score(pair)
         v = pair.mean_diff
         t2 = pair.diff_scale * float(v @ np.linalg.solve(est.matrix(), v))
         assert res.aux["t2_lw"] == pytest.approx(t2, rel=1e-12)
@@ -189,11 +183,6 @@ class TestBs96:
         v = float(np.var(scores, ddof=1))
         assert 0.6 < v < 1.4
         assert abs(float(np.mean(scores))) < 0.2
-
-    def test_accepts_precomputed_scm(self):
-        _, pair = model_pair(8, 6, 10, 12)
-        scm = pooled_scm(pair)
-        assert bs96_score(pair, scm=scm).score == bs96_score(pair).score
 
 
 class TestCq10:
@@ -323,23 +312,50 @@ class TestGramSide:
         mu = sample_sphere(p, 2.0, rng)
         model, pair = model_pair(p + order, p, n1, n2, order=order, mu=mu)
         with blas_pinned():
-            gram = decompose_pair(pair)
-            scm = pooled_scm(pair)
-            full = spectral_decompose(scm)
-            for score in (
-                lambda d: lw_score(pair, decomp=d).score,
-                lambda d: lappw_score(pair, model, decomp=d).score,
-            ):
-                want = score(full)
-                assert abs(score(gram) - want) <= 1e-5 * max(1.0, abs(want))
-            want = bs96_score(pair, scm=scm).score
-            assert bs96_score(pair, decomp=gram).score == pytest.approx(want, rel=1e-12, abs=0)
-            # with no decomposition given, each detector takes the Gram side itself
-            assert lw_score(pair).score == lw_score(pair, decomp=gram).score
-            assert lappw_score(pair, model).score == lappw_score(pair, model, decomp=gram).score
-            assert bs96_score(pair).score == bs96_score(pair, decomp=gram).score
+            want = dense_path_scores(pair, model)
+            for got, key in ((lw_score(pair), "lw"), (lappw_score(pair, model), "lappw")):
+                assert abs(got.score - want[key]) <= 1e-5 * max(1.0, abs(want[key]))
+            assert bs96_score(pair).score == pytest.approx(want["bs96"], rel=1e-12, abs=0)
+            assert pair.decomposition.eigenvectors.shape == (p, pair.n)
             oracle = mahalanobis_score(pair, model).score
             assert oracle == mahalanobis_score(pair, np.diag(model.diag)).score
+
+
+class TestSharedDecomposition:
+    """Detectors called one after another on one pair share its pooled SCM
+    and decomposition: the pair forms each at most once."""
+
+    @pytest.mark.parametrize(
+        "p, n1, n2, scms, solves",
+        [(6, 10, 10, [6], [6]), (30, 6, 6, [], [12])],
+        ids=["p-by-p", "gram-side"],
+    )
+    def test_detectors_on_one_pair_share_one_decomposition(
+        self, p, n1, n2, scms, solves, monkeypatch
+    ):
+        model, pair = model_pair(11, p, n1, n2)
+        formed, solved = [], []
+
+        def scm(of, inner=spectral.pooled_scm):
+            formed.append(of.p)
+            return inner(of)
+
+        def eigh(m, inner=spectral.spectral_decompose):
+            solved.append(m.p)
+            return inner(m)
+
+        monkeypatch.setattr(spectral, "pooled_scm", scm)
+        monkeypatch.setattr(spectral, "spectral_decompose", eigh)
+        if pair.p > pair.n:
+            with pytest.raises(SingularCovarianceError):
+                hotelling_score(pair)
+        else:
+            hotelling_score(pair)
+        lw_score(pair)
+        bs96_score(pair)
+        lappw_score(pair, model)
+        assert formed == scms
+        assert solved == solves
 
 
 class TestDiagonalOracle:

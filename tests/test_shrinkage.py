@@ -18,13 +18,12 @@ from hdtest.shrinkage import (
     kernel_ab,
     lw_covariance,
     optimize_loading,
-    oracle_diagnostics,
     shrink_eigenvalues,
 )
 from hdtest.simulation import generate_sample, make_covariance
 from hdtest.spectral import SamplePair, SpectralDecomposition, pooled_scm, spectral_decompose
 
-from oracles import kernel_ab_mp, shrink_mp, snr_proxy_dense
+from oracles import kernel_ab_mp, oracle_diagnostics, shrink_mp, snr_proxy_dense
 
 SQRT5 = math.sqrt(5.0)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import hdtest
-from hdtest import detectors, simulation, spectral
+from hdtest import simulation, spectral
 from hdtest.detectors import DetectorKind
 from hdtest.errors import DomainError, StructuralError, UnsupportedAspectRatioError
 from hdtest.simulation import (
@@ -116,8 +116,9 @@ class TestSampleSphere:
         rng = np.random.default_rng(0)
         with pytest.raises(StructuralError):
             sample_sphere(0, 1.0, rng)
-        with pytest.raises(DomainError):
-            sample_sphere(3, -1.0, rng)
+        for radius in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sample_sphere(3, radius, rng)
 
 
 class TestGenerateSample:
@@ -188,8 +189,9 @@ class TestSimulationConfig:
             SimulationConfig(trials=0)
         with pytest.raises(StructuralError):
             SimulationConfig(seed=-1)
-        with pytest.raises(StructuralError):
-            SimulationConfig(radius=-0.5)
+        for radius in (-0.5, math.nan, math.inf):
+            with pytest.raises(StructuralError):
+                SimulationConfig(radius=radius)
         with pytest.raises(StructuralError):
             SimulationConfig(base_dist="cauchy")
         with pytest.raises(StructuralError):
@@ -224,7 +226,7 @@ class TestRunTrials:
             np.testing.assert_array_equal(a.h1[kind], b.h1[kind])
         np.testing.assert_array_equal(a.model.diag, b.model.diag)
 
-    def test_hotelling_dropped_when_p_exceeds_n(self):
+    def test_hotelling_dropped_when_p_exceeds_n(self, monkeypatch):
         cfg = SimulationConfig(p=24, n1=6, n2=6, trials=2, seed=1)
         table = run_trials(cfg)
         assert DetectorKind.HOTELLING in table.absent
@@ -233,6 +235,17 @@ class TestRunTrials:
         for kind in table.present():
             assert np.all(np.isfinite(table.h0[kind]))
         assert DetectorKind.PROPOSED_LW in table.h0
+
+        # alone, Hotelling rejects p > n before any pair is decomposed
+        def no_eigh(m):
+            raise AssertionError("spectral_decompose called for hotelling at p > n")
+
+        monkeypatch.setattr(spectral, "spectral_decompose", no_eigh)
+        table = run_trials(
+            SimulationConfig(p=24, n1=6, n2=6, trials=2, seed=1, detectors=("hotelling",))
+        )
+        assert "singular" in table.absent[DetectorKind.HOTELLING]
+        assert table.present() == ()
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         cfg = SimulationConfig(**SMALL)
@@ -260,21 +273,20 @@ class TestRunTrials:
         def no_scm(pair):
             raise AssertionError("pooled_scm called on the Gram side")
 
-        for module in (simulation, spectral, detectors):
-            monkeypatch.setattr(module, "pooled_scm", no_scm)
+        monkeypatch.setattr(spectral, "pooled_scm", no_scm)
         solved, shapes = [], []
 
         def eigh(m, inner=spectral.spectral_decompose):
             solved.append(m.p)
             return inner(m)
 
-        def decompose(*args, inner=simulation.decompose_pair):
-            decomp = inner(*args)
+        def decompose(pair, inner=spectral.decompose_pair):
+            decomp = inner(pair)
             shapes.append(decomp.eigenvectors.shape)
             return decomp
 
         monkeypatch.setattr(spectral, "spectral_decompose", eigh)
-        monkeypatch.setattr(simulation, "decompose_pair", decompose)
+        monkeypatch.setattr(spectral, "decompose_pair", decompose)
         cfg = SimulationConfig(p=150, n1=40, n2=40, cov_order=2, trials=3, seed=4)
         table = run_trials(cfg)
         assert set(table.absent) == {DetectorKind.HOTELLING}
@@ -310,7 +322,7 @@ class TestRunTrials:
     ):
         seen = {"pooled_scm": [], "decompose_pair": []}
         for name, calls in seen.items():
-            monkeypatch.setattr(simulation, name, _recording(getattr(simulation, name), calls))
+            monkeypatch.setattr(spectral, name, _recording(getattr(spectral, name), calls))
         cfg = SimulationConfig(detectors=kinds, **SMALL)
         run_trials(cfg)
         assert len(seen["pooled_scm"]) == scms * 2 * cfg.trials

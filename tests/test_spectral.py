@@ -181,7 +181,7 @@ class TestDecomposePair:
     def test_at_most_n1_plus_n2_is_the_p_by_p_decomposition(self, p, n1, n2):
         pair = random_pair(np.random.default_rng(p), p, n1, n2)
         want = spectral_decompose(pooled_scm(pair))
-        for got in (decompose_pair(pair), decompose_pair(pair, pooled_scm(pair))):
+        for got in (decompose_pair(pair), pair.decomposition):
             np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
             np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
 
