@@ -127,9 +127,8 @@ def _build_config(args, detectors=None) -> SimulationConfig:
 
 def cmd_simulate(args) -> int:
     try:
-        names = [d.strip() for d in args.detectors.split(",") if d.strip()]
-        detectors = tuple(DetectorKind.from_name(n) for n in names)
-        config = _build_config(args, detectors=detectors)
+        names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
+        config = _build_config(args, detectors=names)
     except StructuralError as exc:
         return _fail(str(exc), 2)
     try:

@@ -5,7 +5,9 @@ from seed streams derived as SeedSequence([seed, stream, trial, hypothesis]),
 so results are bit-identical regardless of how many worker threads execute
 the trials (each trial writes into its own preallocated slot).  While the
 trial engine runs, every loaded OpenBLAS is held at one thread, so the bits
-do not depend on the BLAS thread count either.
+do not depend on the BLAS thread count either.  A detector that fails its
+precondition is not scored on later trials; its first failure in trial order
+is the one reported, at any worker count.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ SPIKE_BLOCK = 40
 _MODEL_STREAM = 1
 _TRIAL_STREAM = 2
 
-_ALL_DETECTORS = tuple(DetectorKind)
-
 _BASE_DISTS = ("uniform", "gaussian")
 
 
@@ -75,7 +75,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) 
     """Build the order-P diagonal model.
 
     diag_j = 10**((41-j)*P/40) + eps_j for j = 1..40 with eps_j iid U[0,1],
-    and exactly 1.0 beyond the block.  For p <= 40 the spike block is
+    and exactly 1.0 beyond the block.  For p < 40 the spike block is
     truncated to p (with a warning); the eps draw is sized to the truncated
     block.
     """
@@ -84,7 +84,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) 
     if order < 0:
         raise DomainError(f"covariance order must be >= 0, got {order}")
     k = min(p, SPIKE_BLOCK)
-    if p <= SPIKE_BLOCK:
+    if p < SPIKE_BLOCK:
         warnings.warn(
             f"spike block truncated from {SPIKE_BLOCK} to p={p}", stacklevel=2
         )
@@ -148,7 +148,7 @@ class SimulationConfig:
     trials: int = 2000
     seed: int = 0
     radius: float = 1.0
-    detectors: tuple = _ALL_DETECTORS
+    detectors: tuple = tuple(DetectorKind)
     base_dist: str = "uniform"
 
     def __post_init__(self):
@@ -172,6 +172,8 @@ class SimulationConfig:
         )
         if not kinds:
             raise StructuralError("at least one detector is required")
+        if len(set(kinds)) < len(kinds):
+            raise StructuralError(f"repeated detector in {[k.value for k in kinds]}")
         object.__setattr__(self, "detectors", kinds)
 
     def as_dict(self) -> dict:
@@ -341,28 +343,20 @@ _DETECTORS = {
 }
 
 
-def _score_pair(pair: SamplePair, kinds, model: CovarianceModel) -> dict:
-    """Score one sample pair with every requested detector.
-
-    Precondition failures (DomainError family) are recorded as the exception
-    so the caller can drop that detector's column; anything else propagates.
-    """
-    out = {}
-    for kind in kinds:
-        try:
-            out[kind] = _DETECTORS[kind](pair, model).score
-        except DomainError as exc:
-            out[kind] = exc
-    return out
-
-
 def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
-    """The trial engine: (model, per-trial list of one score dict per hypothesis).
+    """The trial engine: (model, scores, failures).
 
+    scores holds one {detector: array} per hypothesis; trial t writes slot t.
     Trial t under hypothesis h draws from its own stream trial_seed(seed, t, h):
     under H0 both group means are zero, and under H1 the group 1 mean is
     drawn first, fresh from the radius sphere.  The covariance model's eps
     draws are fixed once per run.
+
+    failures maps each detector that raised a DomainError to its first
+    failure in (t, h) order; its keys run in order of that t, then of
+    config.detectors.  Other errors propagate.  A detector is skipped only
+    after a failure at an earlier (t, h), so that first failure is found at
+    any worker count, and a pair no detector still needs is not drawn.
     """
     model = make_covariance(
         config.cov_order,
@@ -371,19 +365,33 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
         seed=tuple(model_seed(config.seed)),
     )
     zeros = np.zeros(config.p)
+    scores = tuple({k: np.empty(config.trials) for k in config.detectors} for _ in hypotheses)
+    first = {}  # detector -> ((trial, hypothesis), error), the earliest failure so far
+    lock = threading.Lock()
 
-    def one_trial(t: int) -> tuple:
-        scores = []
-        for h in hypotheses:
+    def one_trial(t: int) -> None:
+        for h, out in zip(hypotheses, scores):
+            with lock:
+                kinds = [k for k in config.detectors if k not in first or first[k][0] > (t, h)]
+            if not kinds:
+                continue
             rng = _trial_rng(config.seed, t, h)
             mu = sample_sphere(config.p, config.radius, rng) if h else zeros
             x1 = generate_sample(model, mu, config.n1, rng, config.base_dist)
             x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist)
-            # Unnamed, the pair frees its SCM and decomposition once scored.
-            scores.append(_score_pair(SamplePair(x1, x2), config.detectors, model))
-        return tuple(scores)
+            pair = SamplePair(x1, x2)
+            for kind in kinds:
+                try:
+                    out[kind][t] = _DETECTORS[kind](pair, model).score
+                except DomainError as exc:
+                    with lock:
+                        if kind not in first or first[kind][0] > (t, h):
+                            first[kind] = ((t, h), exc)
+            del pair  # frees its SCM and decomposition before the next draw
 
-    return model, _map_trials(one_trial, config.trials)
+    _map_trials(one_trial, config.trials)
+    order = sorted(first, key=lambda k: (first[k][0][0], config.detectors.index(k)))
+    return model, scores, {k: first[k][1] for k in order}
 
 
 def run_trials(config: SimulationConfig) -> ScoreTable:
@@ -393,25 +401,9 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
     detector that failed its precondition on any trial is dropped entirely,
     with the first failure in trial order as the reason.
     """
-    model, results = _run(config, (0, 1))
-    kinds = config.detectors
-    absent = {}
-    h0 = {k: np.empty(config.trials) for k in kinds}
-    h1 = {k: np.empty(config.trials) for k in kinds}
-    for t, (r0, r1) in enumerate(results):
-        for kind in kinds:
-            for scores, r in ((h0, r0), (h1, r1)):
-                v = r[kind]
-                if isinstance(v, Exception):
-                    absent.setdefault(kind, str(v))
-                else:
-                    scores[kind][t] = v
-    for kind in absent:
-        h0.pop(kind, None)
-        h1.pop(kind, None)
-    for kind in list(h0):
-        h0[kind] = _readonly(h0[kind])
-        h1[kind] = _readonly(h1[kind])
+    model, scores, failures = _run(config, (0, 1))
+    h0, h1 = ({k: _readonly(v) for k, v in s.items() if k not in failures} for s in scores)
+    absent = {k: str(exc) for k, exc in failures.items()}
     return ScoreTable(config=config, model=model, h0=h0, h1=h1, absent=absent)
 
 
@@ -501,14 +493,11 @@ def null_z_samples(config: SimulationConfig) -> np.ndarray:
     a null check is consistent with the matching simulate run.  The first
     precondition failure in trial order is raised.
     """
-    _, results = _run(replace(config, detectors=(DetectorKind.PROPOSED_LW,)), (0,))
-    z = np.empty(config.trials)
-    for t, (r0,) in enumerate(results):
-        v = r0[DetectorKind.PROPOSED_LW]
-        if isinstance(v, Exception):
-            raise v
-        z[t] = v
-    return z
+    lw = DetectorKind.PROPOSED_LW
+    _, (scores,), failures = _run(replace(config, detectors=(lw,)), (0,))
+    if lw in failures:
+        raise failures[lw]
+    return scores[lw]
 
 
 def write_scores_csv(table: ScoreTable, path) -> None:

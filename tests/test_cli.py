@@ -125,6 +125,12 @@ class TestSimulateCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_repeated_detector_exits_2(self, tmp_path, capsys):
+        code = run_simulate(tmp_path / "x", extra=["--detectors", "lw,lw,cq10"])
+        assert code == 2
+        assert "repeated detector" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_cov_order_exits_2(self, tmp_path, capsys):
         code = run_simulate(tmp_path / "x", extra=["--cov-order", "-1"])
         assert code == 2

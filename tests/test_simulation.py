@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,13 @@ class TestMakeCovariance:
             model = make_covariance(0, 10, np.random.default_rng(3))
         assert model.p == 10
         assert np.all(model.diag >= 1.0)
+
+    def test_full_block_at_p_40_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = make_covariance(2, 40, np.random.default_rng(3))
+        wider = make_covariance(2, 41, np.random.default_rng(3))
+        np.testing.assert_array_equal(model.diag, wider.diag[:40])
 
     def test_same_rng_state_reproduces(self):
         a = make_covariance(2, 50, np.random.default_rng(7))
@@ -196,6 +205,8 @@ class TestSimulationConfig:
             SimulationConfig(base_dist="cauchy")
         with pytest.raises(StructuralError):
             SimulationConfig(detectors=())
+        with pytest.raises(StructuralError, match="repeated detector"):
+            SimulationConfig(detectors=("lw", "lw", "cq10"))
 
     def test_as_dict_round_trips(self):
         cfg = SimulationConfig(**SMALL)
@@ -334,13 +345,61 @@ class TestRunTrials:
         table = run_trials(cfg)
         np.testing.assert_array_equal(z, table.h0[DetectorKind.PROPOSED_LW])
 
-    def test_null_z_samples_raises_the_precondition_error(self):
-        # p = n1 + n2 - 2 = 10: the shrinkage map rejects every trial
-        cfg = SimulationConfig(p=10, n1=6, n2=6, trials=5)
+    def test_null_z_samples_raises_the_precondition_error(self, monkeypatch):
+        # p = n1 + n2 - 2 = 20: the shrinkage map rejects every trial, and
+        # after the first failure no later trial is scored
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        seen = []
+        monkeypatch.setattr(simulation, "lw_score", _recording(simulation.lw_score, seen))
+        cfg = SimulationConfig(p=20, n1=11, n2=11, trials=50)
         with pytest.warns(UserWarning, match="truncated"):
             with pytest.raises(UnsupportedAspectRatioError, match="aspect ratio") as info:
                 null_z_samples(cfg)
         assert type(info.value) is UnsupportedAspectRatioError
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    @pytest.mark.parametrize("first_h", [0, 1], ids=["h0", "h1"])
+    def test_first_failure_is_kept_at_any_worker_count(self, first_h, workers, monkeypatch):
+        """cq10 fails from (trial k, hypothesis first_h) on, and its call at
+        (k, 0) is slow, so with four workers later trials fail first: before
+        trial k's failure (h0) or before trial k reaches hypothesis 1 (h1).
+        The reported failure is still trial k's, and the other columns keep
+        the bytes of an unpatched run."""
+        cfg = SimulationConfig(p=8, n1=10, n2=12, trials=12, seed=5)
+        reference = run_trials(cfg)
+        k, current = 5, threading.local()
+
+        def trial_rng(seed, t, h, inner=simulation._trial_rng):
+            current.at = (t, h)
+            return inner(seed, t, h)
+
+        calls = []
+
+        def cq10(pair, inner=simulation.cq10_score):
+            calls.append(current.at)
+            if current.at == (k, 0):
+                time.sleep(0.2)
+            if current.at >= (k, first_h):
+                raise DomainError(f"failed at trial {current.at[0]}")
+            return inner(pair)
+
+        monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
+        monkeypatch.setattr(simulation, "cq10_score", cq10)
+        monkeypatch.setenv("HDTEST_THREADS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = run_trials(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert table.absent == {DetectorKind.CQ10: f"failed at trial {k}"}
+        assert table.present() == tuple(d for d in cfg.detectors if d != DetectorKind.CQ10)
+        for kind in table.present():
+            assert table.h0[kind].tobytes() == reference.h0[kind].tobytes()
+            assert table.h1[kind].tobytes() == reference.h1[kind].tobytes()
+        if workers == "1":
+            assert len(calls) == 2 * k + 1 + first_h
 
 
 def _openblas_or_skip():
