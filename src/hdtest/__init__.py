@@ -25,11 +25,7 @@ from .errors import (
     UnsupportedAspectRatioError,
 )
 from .shrinkage import (
-    KernelContext,
     LoadingResult,
-    ShrinkageEstimate,
-    kernel_ab,
-    lw_covariance,
     optimize_loading,
     shrink_eigenvalues,
 )
@@ -84,11 +80,7 @@ __all__ = [
     "read_matrix_csv",
     "write_matrix_csv",
     # shrinkage
-    "KernelContext",
-    "kernel_ab",
     "shrink_eigenvalues",
-    "ShrinkageEstimate",
-    "lw_covariance",
     "LoadingResult",
     "optimize_loading",
     # detectors

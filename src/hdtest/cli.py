@@ -22,7 +22,7 @@ import scipy
 from . import __version__
 from .detectors import DetectorKind
 from .errors import DomainError, StructuralError
-from .shrinkage import lw_covariance
+from .shrinkage import shrink_eigenvalues
 from .simulation import (
     SimulationConfig,
     blas_pinned,
@@ -109,8 +109,8 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _build_config(args, detectors=None) -> SimulationConfig:
-    kwargs = dict(
+def _build_config(args, detectors) -> SimulationConfig:
+    return SimulationConfig(
         p=args.p,
         n1=args.n1,
         n2=args.n2,
@@ -119,10 +119,8 @@ def _build_config(args, detectors=None) -> SimulationConfig:
         seed=args.seed,
         radius=args.radius,
         base_dist=args.base_dist,
+        detectors=detectors,
     )
-    if detectors is not None:
-        kwargs["detectors"] = detectors
-    return SimulationConfig(**kwargs)
 
 
 def cmd_simulate(args) -> int:
@@ -266,8 +264,9 @@ def cmd_shrink(args) -> int:
     try:
         with blas_pinned() as held:
             decomp = spectral_decompose(sym)
-            estimate = lw_covariance(decomp, args.n, sym.p)
-            rlw = estimate.matrix()
+            dhat = shrink_eigenvalues(decomp, args.n, sym.p)
+            u = decomp.eigenvectors
+            rlw = (u * dhat) @ u.T
     except StructuralError as exc:
         return _fail(str(exc), 2)
     except DomainError as exc:
@@ -275,13 +274,13 @@ def cmd_shrink(args) -> int:
 
     prefix = args.out_prefix
     dhat_path = f"{prefix}dhat.csv"
-    write_matrix_csv(dhat_path, estimate.dhat.reshape(-1, 1))
+    write_matrix_csv(dhat_path, dhat.reshape(-1, 1))
     rlw_path = f"{prefix}rlw.csv"
     write_matrix_csv(rlw_path, rlw)
 
     lam = decomp.eigenvalues
     cond_in = float("inf") if lam[-1] <= 0.0 else float(lam[0] / lam[-1])
-    cond_out = float(np.max(estimate.dhat) / np.min(estimate.dhat))
+    cond_out = float(np.max(dhat) / np.min(dhat))
     print(f"input condition number: {cond_in:.6g}")
     print(f"output condition number: {cond_out:.6g}")
 
@@ -313,18 +312,16 @@ def _run_environment(held: dict, workers: int) -> dict:
     }
 
 
-def _write_manifest(path, command, config, seed, outputs, t0, environment=None) -> None:
-    manifest = {
+def _write_manifest(path, command, config, seed, outputs, t0, environment) -> None:
+    _write_json_atomic(path, {
         "command": command,
         "config": config,
         "seed": seed,
         "tool_version": __version__,
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - t0,
-    }
-    if environment is not None:
-        manifest["environment"] = environment
-    _write_json_atomic(path, manifest)
+        "environment": environment,
+    })
 
 
 def main(argv=None) -> int:

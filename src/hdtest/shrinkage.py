@@ -20,7 +20,7 @@ from .errors import (
     StructuralError,
     UnsupportedAspectRatioError,
 )
-from .spectral import SpectralDecomposition, _readonly, _require_finite
+from .spectral import SpectralDecomposition, _require_finite
 
 SQRT5 = math.sqrt(5.0)
 
@@ -30,43 +30,12 @@ SQRT5 = math.sqrt(5.0)
 _LOG_GUARD = 1e-300
 
 
-@dataclass(frozen=True)
-class KernelContext:
-    """Retained sample eigenvalues with their smoothing bandwidths.
-
-    The retained set is the largest min(n, p) eigenvalues; when p > n the
-    p - n trailing zeros of the rank-deficient sample covariance are dropped.
-    Every retained eigenvalue must be strictly positive, giving bandwidths
-    h_j = n**(-1/3) * lambda_j > 0.
-    """
-
-    evals: np.ndarray
-    bandwidths: np.ndarray
-    n: int
-    p: int
-
-    @classmethod
-    def from_eigenvalues(cls, eigenvalues: np.ndarray, n: int) -> "KernelContext":
-        evs = np.asarray(eigenvalues, dtype=float)
-        if evs.ndim != 1 or evs.size == 0:
-            raise DomainError("empty eigenvalue set")
-        _require_finite(evs, "eigenvalues")
-        if n < 1:
-            raise DomainError(f"effective sample size must be >= 1, got {n}")
-        p = evs.size
-        retained = evs[: min(n, p)]
-        if np.any(retained <= 0.0):
-            raise DegenerateSpectrumError(
-                "retained sample eigenvalues must be strictly positive"
-            )
-        h = float(n) ** (-1.0 / 3.0) * retained
-        return cls(_readonly(retained), _readonly(h), int(n), p)
-
-
-def _kernel_sums(lams: np.ndarray, ctx: KernelContext):
+def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     """Vectorized kernel sums a(lambda), b(lambda) at many evaluation points.
 
-    For each retained eigenvalue, with x_j = (lambda - lambda_j)/h_j:
+    `evals` are the retained sample eigenvalues, each strictly positive, with
+    bandwidths h_j = n**(-1/3) * lambda_j.  For each, with
+    x_j = (lambda - lambda_j)/h_j:
 
       a gets  -3 x_j / (10 pi h_j)
               + 3/(4 sqrt5 pi h_j) * (1 - x_j^2/5) * log|(sqrt5 - x_j)/(sqrt5 + x_j)|
@@ -78,8 +47,8 @@ def _kernel_sums(lams: np.ndarray, ctx: KernelContext):
     when floating point lands exactly on the singularity.
     """
     lam = np.asarray(lams, dtype=float)[:, None]
-    ev = ctx.evals[None, :]
-    h = ctx.bandwidths[None, :]
+    ev = evals[None, :]
+    h = (float(n) ** (-1.0 / 3.0) * evals)[None, :]
     x = (lam - ev) / h
     bracket = 1.0 - 0.2 * x * x
     num = SQRT5 * h - lam + ev
@@ -94,12 +63,6 @@ def _kernel_sums(lams: np.ndarray, ctx: KernelContext):
     return a, b
 
 
-def kernel_ab(lam: float, ctx: KernelContext) -> tuple[float, float]:
-    """Evaluate the kernel sums (a, b) at a single point."""
-    a, b = _kernel_sums(np.array([float(lam)]), ctx)
-    return float(a[0]), float(b[0])
-
-
 def shrink_eigenvalues(
     decomp: SpectralDecomposition, n: int, p: int
 ) -> np.ndarray:
@@ -110,7 +73,11 @@ def shrink_eigenvalues(
         d_i = lambda_i / |1 - p/n - (p/n) * lambda_i * s(lambda_i)|**2
 
     and (only possible when p > n) zero eigenvalues map to the common value
-    1 / ((p/n - 1) * a(0)/n).  The aspect ratio p == n is rejected.
+    1 / ((p/n - 1) * a(0)/n).  The kernel sums run over the retained set, the
+    largest min(n, p) eigenvalues: when p > n the p - n trailing zeros of the
+    rank-deficient sample covariance are dropped, and every retained
+    eigenvalue must be strictly positive.  The aspect ratio p == n is
+    rejected.
     """
     if p != decomp.p:
         raise StructuralError(f"p={p} disagrees with decomposition size {decomp.p}")
@@ -123,20 +90,27 @@ def shrink_eigenvalues(
     evs = decomp.eigenvalues
     if np.any(evs < 0.0):
         raise DegenerateSpectrumError("negative sample eigenvalue: input is not PSD")
-    ctx = KernelContext.from_eigenvalues(evs, n)
+    if evs.size == 0:
+        raise DomainError("empty eigenvalue set")
+    _require_finite(evs, "eigenvalues")
     ratio = p / n
     m = min(n, p)
+    retained = evs[:m]
+    if np.any(retained <= 0.0):
+        raise DegenerateSpectrumError(
+            "retained sample eigenvalues must be strictly positive"
+        )
     out = np.empty(p, dtype=float)
     pos = evs > 0.0
     if np.any(pos):
-        a, b = _kernel_sums(evs[pos], ctx)
+        a, b = _kernel_sums(evs[pos], retained, n)
         s = math.pi * (a + 1j * b) / m
         denom = np.abs(1.0 - ratio - ratio * evs[pos] * s) ** 2
         out[pos] = evs[pos] / denom
     if np.any(~pos):
-        # Zero sample eigenvalues survive KernelContext construction only when
-        # p > n (they sit past the retained set), so ratio > 1 here.
-        a0, _ = kernel_ab(0.0, ctx)
+        # Zero sample eigenvalues pass the retained-set check only when p > n
+        # (they sit past the retained set), so ratio > 1 here.
+        a0 = _kernel_sums(np.zeros(1), retained, n)[0][0]
         denom0 = (ratio - 1.0) * a0 / n
         if denom0 <= 0.0:
             raise DegenerateSpectrumError(
@@ -146,36 +120,6 @@ def shrink_eigenvalues(
     if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
         raise DegenerateSpectrumError("shrunk eigenvalues are not finite and positive")
     return out
-
-
-@dataclass(frozen=True)
-class ShrinkageEstimate:
-    """Rotation-equivariant covariance estimate: sample basis, shrunk eigenvalues."""
-
-    basis: np.ndarray
-    dhat: np.ndarray
-    n: int
-    p: int
-
-    def __post_init__(self):
-        basis = _readonly(self.basis)
-        dhat = _readonly(self.dhat)
-        if basis.shape != (self.p, self.p) or dhat.shape != (self.p,):
-            raise StructuralError("inconsistent shrinkage-estimate shapes")
-        if np.any(dhat <= 0.0) or not np.all(np.isfinite(dhat)):
-            raise DomainError("shrunk eigenvalues must be finite and positive")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "dhat", dhat)
-
-    def matrix(self) -> np.ndarray:
-        """Assemble the dense estimate U diag(dhat) U'."""
-        return (self.basis * self.dhat) @ self.basis.T
-
-
-def lw_covariance(decomp: SpectralDecomposition, n: int, p: int) -> ShrinkageEstimate:
-    """Nonlinearly shrunk covariance estimate in the sample eigenbasis."""
-    dhat = shrink_eigenvalues(decomp, n, p)
-    return ShrinkageEstimate(decomp.eigenvectors, dhat, n, p)
 
 
 def _pop_diag(pop) -> np.ndarray:

@@ -185,18 +185,27 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
+def _covariance(s: np.ndarray) -> SymMatrix:
+    """A covariance formed from finite data; products past the float range
+    are a domain failure of the sample, not malformed input."""
+    if not np.all(np.isfinite(s)):
+        raise DomainError("pooled sample covariance overflows")
+    return SymMatrix(s)
+
+
 def pooled_scm(pair: SamplePair) -> SymMatrix:
     """Pooled sample covariance of the two groups.
 
     S = (1/n) * sum over groups of sum of (x - group mean) outer products,
     with n = n1 + n2 - 2.  The result is explicitly symmetrized so downstream
-    eigendecompositions see an exactly symmetric matrix.
+    eigendecompositions see an exactly symmetric matrix.  Finite data whose
+    products overflow raise DomainError.
     """
     c1 = pair.x1.entries - pair.xbar1[:, None]
     c2 = pair.x2.entries - pair.xbar2[:, None]
     s = (c1 @ c1.T + c2 @ c2.T) / pair.n
     s = 0.5 * (s + s.T)
-    return SymMatrix(s)
+    return _covariance(s)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -241,14 +250,15 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     unit eigenvector C w / sqrt(n lambda) of S.  The result is in
     range-plus-null form: length-p eigenvalues (the p - r null ones exactly
     0) and a p x r eigenvector block.  The Gram matrix goes through the same
-    symmetry check, clip and sign convention as the p x p path.
+    symmetry check, clip and sign convention as the p x p path, and the same
+    DomainError when its products overflow.
     """
     if not pair.gram_side:
         return spectral_decompose(pair.scm)
     c = np.concatenate((pair.x1.entries, pair.x2.entries), axis=1)
     c[:, : pair.n1] -= pair.xbar1[:, None]
     c[:, pair.n1 :] -= pair.xbar2[:, None]
-    gram = spectral_decompose(SymMatrix(c.T @ c / pair.n))
+    gram = spectral_decompose(_covariance(c.T @ c / pair.n))
     lam = gram.eigenvalues
     r = int(np.count_nonzero(lam > 0.0))
     vecs = c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r]))

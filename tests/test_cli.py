@@ -14,7 +14,7 @@ import scipy
 import hdtest
 from hdtest import simulation
 from hdtest.cli import main
-from hdtest.shrinkage import lw_covariance, shrink_eigenvalues
+from hdtest.shrinkage import shrink_eigenvalues
 from hdtest.simulation import SimulationConfig, blas_threads, run_trials, write_scores_csv
 from hdtest.spectral import SymMatrix, read_matrix_csv, spectral_decompose, write_matrix_csv
 
@@ -118,6 +118,26 @@ class TestSimulateCommand:
         assert (out / "roc_lw.csv").exists()
         assert "hotelling: absent" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("p,detector", [(50, "lw"), (30, "bs96")])  # Gram side, p x p
+    def test_overflowing_covariance_is_an_absent_detector(
+        self, tmp_path, monkeypatch, capsys, p, detector
+    ):
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        out = tmp_path / "run"
+        code = main(
+            [
+                "simulate",
+                "--p", str(p), "--n1", "20", "--n2", "20", "--cov-order", "308",
+                "--trials", "3", "--detectors", f"{detector},cq10",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["absent"][detector] == "pooled sample covariance overflows"
+        capsys.readouterr()
+
     def test_unknown_detector_exits_2(self, tmp_path, capsys):
         code = main(
             ["simulate", "--detectors", "lw,bogus", "--out-dir", str(tmp_path / "x")]
@@ -213,6 +233,19 @@ class TestNullCheckCommand:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_covariance_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        code = main(
+            [
+                "null-check",
+                "--p", "50", "--n1", "20", "--n2", "20", "--cov-order", "308",
+                "--trials", "3", "--out-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert "pooled sample covariance overflows" in capsys.readouterr().err
+
     def test_equal_aspect_ratio_exits_3(self, tmp_path, capsys):
         # p = n1 + n2 - 2 = 10: every trial's shrinkage is undefined
         with pytest.warns(UserWarning, match="truncated"):
@@ -268,19 +301,25 @@ class TestShrinkCommand:
         capsys.readouterr()
 
     def test_outputs_match_the_library_estimate(self, tmp_path, capsys):
-        """dhat.csv holds shrink_eigenvalues and rlw.csv the lw_covariance
-        matrix, byte for byte."""
-        x = np.random.default_rng(4).standard_normal((5, 30))
-        path = self.write_matrix(tmp_path, x @ x.T / 30)
-        prefix = str(tmp_path / "out_")
-        assert main(["shrink", "--matrix", str(path), "--n", "30", "--out-prefix", prefix]) == 0
-        decomp = spectral_decompose(SymMatrix(read_matrix_csv(path)))
-        dhat = shrink_eigenvalues(decomp, 30, 5)
-        write_matrix_csv(tmp_path / "dhat_ref.csv", dhat.reshape(-1, 1))
-        write_matrix_csv(tmp_path / "rlw_ref.csv", lw_covariance(decomp, 30, 5).matrix())
-        for name in ("dhat", "rlw"):
-            got = Path(f"{prefix}{name}.csv").read_bytes()
-            assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+        """dhat.csv holds shrink_eigenvalues and rlw.csv U diag(dhat) U', byte
+        for byte, at p < n and at p > n, where the p - n zero eigenvalues take
+        the common target; rlw's own eigenvalues are dhat."""
+        for p, n in ((5, 30), (12, 8)):
+            x = np.random.default_rng(4).standard_normal((p, n))
+            path = self.write_matrix(tmp_path, x @ x.T / n, name=f"m{p}.csv")
+            prefix = str(tmp_path / f"out{p}_")
+            assert main(["shrink", "--matrix", str(path), "--n", str(n), "--out-prefix", prefix]) == 0
+            decomp = spectral_decompose(SymMatrix(read_matrix_csv(path)))
+            assert np.count_nonzero(decomp.eigenvalues == 0.0) == max(p - n, 0)
+            dhat = shrink_eigenvalues(decomp, n, p)
+            u = decomp.eigenvectors
+            write_matrix_csv(tmp_path / "dhat_ref.csv", dhat.reshape(-1, 1))
+            write_matrix_csv(tmp_path / "rlw_ref.csv", (u * dhat) @ u.T)
+            for name in ("dhat", "rlw"):
+                got = Path(f"{prefix}{name}.csv").read_bytes()
+                assert got == (tmp_path / f"{name}_ref.csv").read_bytes(), (p, name)
+            rlw_evals = np.linalg.eigvalsh(read_matrix_csv(f"{prefix}rlw.csv"))
+            np.testing.assert_allclose(rlw_evals, np.sort(dhat), rtol=1e-10)
         capsys.readouterr()
 
     def test_manifest_records_numeric_environment(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from hdtest.errors import (
     StructuralError,
 )
 from hdtest.simulation import blas_pinned, generate_sample, make_covariance, sample_sphere
-from hdtest.shrinkage import lw_covariance
+from hdtest.shrinkage import shrink_eigenvalues
 from hdtest.spectral import (
     DataMatrix,
     SamplePair,
@@ -129,10 +129,12 @@ class TestLwDetector:
 
     def test_override_matches_manual_quadratic_form(self):
         _, pair = model_pair(6, 6, 15, 15)
-        est = lw_covariance(spectral_decompose(pooled_scm(pair)), pair.n, pair.p)
+        decomp = spectral_decompose(pooled_scm(pair))
+        u = decomp.eigenvectors
+        rlw = (u * shrink_eigenvalues(decomp, pair.n, pair.p)) @ u.T
         res = lw_score(pair)
         v = pair.mean_diff
-        t2 = pair.diff_scale * float(v @ np.linalg.solve(est.matrix(), v))
+        t2 = pair.diff_scale * float(v @ np.linalg.solve(rlw, v))
         assert res.aux["t2_lw"] == pytest.approx(t2, rel=1e-12)
 
     def test_runs_when_p_exceeds_n(self):
@@ -319,6 +321,20 @@ class TestGramSide:
             assert pair.decomposition.eigenvectors.shape == (p, pair.n)
             oracle = mahalanobis_score(pair, model).score
             assert oracle == mahalanobis_score(pair, np.diag(model.diag)).score
+
+
+class TestOverflow:
+    """Finite data whose products overflow the pooled covariance: a domain
+    failure of the sample on the p x p path and on the Gram side."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("detector", [bs96_score, lw_score])
+    @pytest.mark.parametrize("p", [3, 12])  # n1 = n2 = 4: p x p path, Gram side
+    def test_raises_domain_error(self, p, detector):
+        rng = np.random.default_rng(p)
+        pair = pair_from(1e155 * rng.standard_normal((p, 4)), 1e155 * rng.standard_normal((p, 4)))
+        with pytest.raises(DomainError, match="pooled sample covariance overflows"):
+            detector(pair)
 
 
 class TestSharedDecomposition:

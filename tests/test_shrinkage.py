@@ -12,11 +12,8 @@ from hdtest.errors import (
     UnsupportedAspectRatioError,
 )
 from hdtest.shrinkage import (
-    KernelContext,
     LoadingResult,
-    ShrinkageEstimate,
-    kernel_ab,
-    lw_covariance,
+    _kernel_sums,
     optimize_loading,
     shrink_eigenvalues,
 )
@@ -48,8 +45,10 @@ FIX_B_ZERO_VALUE = 5.582191557226974090956924
 FIX_B_DHAT_POS = (1.172143210928448970927311, 0.2293789562291666950465747)
 
 
-def ctx_a() -> KernelContext:
-    return KernelContext.from_eigenvalues(np.array(FIX_A_EVALS), FIX_A_N)
+def ab_at(lam, evals, n) -> tuple[float, float]:
+    """The kernel sums (a, b) at one point."""
+    a, b = _kernel_sums(np.array([float(lam)]), np.asarray(evals, dtype=float), n)
+    return float(a[0]), float(b[0])
 
 
 def decomp_from(evals) -> SpectralDecomposition:
@@ -58,69 +57,78 @@ def decomp_from(evals) -> SpectralDecomposition:
 
 
 class TestKernelContext:
+    """The retained eigenvalues and bandwidths that shrink_eigenvalues hands
+    to the kernel sums, and the checks it makes on them."""
+
     def test_bandwidths(self):
-        ctx = ctx_a()
-        np.testing.assert_allclose(
-            ctx.bandwidths, 8.0 ** (-1.0 / 3.0) * np.array(FIX_A_EVALS)
-        )
-        assert ctx.n == 8 and ctx.p == 2
+        # one bump at 2 with n = 8 has h = 8**(-1/3) * 2 = 1: its peak is
+        # 3/(4 sqrt5 h) and its support ends at 2 + sqrt5 * h
+        _, peak = ab_at(2.0, [2.0], 8)
+        assert peak == pytest.approx(3.0 / (4.0 * SQRT5), rel=1e-14)
+        assert ab_at(2.0 + SQRT5 * 0.999, [2.0], 8)[1] > 0.0
+        assert ab_at(2.0 + SQRT5 * 1.001, [2.0], 8)[1] == 0.0
 
     def test_retains_largest_min_n_p(self):
-        ctx = KernelContext.from_eigenvalues(np.array(FIX_B_EVALS), FIX_B_N)
-        np.testing.assert_array_equal(ctx.evals, [3.0, 1.0])
+        # the zero target is built from the two retained eigenvalues alone
+        out = shrink_eigenvalues(decomp_from(FIX_B_EVALS), FIX_B_N, 4)
+        a0, _ = kernel_ab_mp(0.0, FIX_B_EVALS[:FIX_B_N], FIX_B_N)
+        ratio = 4 / FIX_B_N
+        assert out[2] == pytest.approx(float(FIX_B_N / ((ratio - 1.0) * a0)), rel=1e-12)
 
     def test_rejects_zero_in_retained_set(self):
-        with pytest.raises(DegenerateSpectrumError):
-            KernelContext.from_eigenvalues(np.array([2.0, 1.0, 0.0]), 8)
+        with pytest.raises(DegenerateSpectrumError, match="retained"):
+            shrink_eigenvalues(decomp_from([2.0, 0.0, 0.0, 0.0]), 2, 4)
 
     def test_rejects_empty(self):
-        with pytest.raises(DomainError):
-            KernelContext.from_eigenvalues(np.array([]), 8)
+        empty = SpectralDecomposition(np.array([]), np.zeros((0, 0)))
+        with pytest.raises(DomainError, match="empty eigenvalue set"):
+            shrink_eigenvalues(empty, 8, 0)
 
     def test_rejects_bad_n(self):
-        with pytest.raises(DomainError):
-            KernelContext.from_eigenvalues(np.array([1.0]), 0)
+        with pytest.raises(DomainError, match="effective sample size"):
+            shrink_eigenvalues(decomp_from([1.0]), 0, 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(StructuralError, match="non-finite"):
+            shrink_eigenvalues(decomp_from([bad, 1.0]), 8, 2)
 
 
 class TestKernelSums:
     def test_center_of_single_bump(self):
-        # at lambda = lambda_j the linear term and the log both vanish exactly
-        ctx = KernelContext.from_eigenvalues(np.array([1.0]), 1)
-        a, b = kernel_ab(1.0, ctx)
+        # at lambda = lambda_j the linear term and the log both vanish exactly;
+        # one eigenvalue 1 at n = 1 has bandwidth 1
+        a, b = ab_at(1.0, [1.0], 1)
         assert a == 0.0
-        assert b == 3.0 / (4.0 * SQRT5 * ctx.bandwidths[0])
+        assert b == 3.0 / (4.0 * SQRT5)
 
     def test_bump_edge_b_vanishes_a_finite(self):
         # at |x| = sqrt5 the b bracket hits zero and the a log singularity is
         # removable; the guard keeps the linear term
-        ctx = KernelContext.from_eigenvalues(np.array([1.0]), 1)
-        h = ctx.bandwidths[0]
-        edge = 1.0 + SQRT5 * h
-        a, b = kernel_ab(edge, ctx)
+        edge = 1.0 + SQRT5
+        a, b = ab_at(edge, [1.0], 1)
         assert b == pytest.approx(0.0, abs=1e-12)
         assert a == pytest.approx(-3.0 * SQRT5 / (10.0 * math.pi), abs=1e-10)
 
     def test_continuity_across_edge(self):
-        ctx = KernelContext.from_eigenvalues(np.array([1.0]), 1)
-        edge = 1.0 + SQRT5 * ctx.bandwidths[0]
-        a_edge, _ = kernel_ab(edge, ctx)
+        edge = 1.0 + SQRT5
+        a_edge, _ = ab_at(edge, [1.0], 1)
         for delta in (1e-9, -1e-9):
-            a_near, b_near = kernel_ab(edge + delta, ctx)
+            a_near, b_near = ab_at(edge + delta, [1.0], 1)
             assert a_near == pytest.approx(a_edge, abs=1e-6)
             assert math.isfinite(a_near) and b_near >= 0.0
 
     def test_b_nonnegative_and_compact_support(self):
-        ctx = ctx_a()
-        far = 2.0 + SQRT5 * ctx.bandwidths[0] * 1.001
-        _, b = kernel_ab(far, ctx)
+        far = 2.0 + SQRT5 * FIX_A_N ** (-1.0 / 3.0) * 2.0 * 1.001
+        _, b = ab_at(far, FIX_A_EVALS, FIX_A_N)
         assert b == 0.0
         grid = np.linspace(-1.0, 4.0, 101)
-        bs = np.array([kernel_ab(x, ctx)[1] for x in grid])
+        bs = np.array([ab_at(x, FIX_A_EVALS, FIX_A_N)[1] for x in grid])
         assert np.all(bs >= 0.0)
 
     @pytest.mark.parametrize("lam", sorted(FIX_A_AB))
     def test_frozen_reference_values(self, lam):
-        a, b = kernel_ab(lam, ctx_a())
+        a, b = ab_at(lam, FIX_A_EVALS, FIX_A_N)
         a_ref, b_ref = FIX_A_AB[lam]
         assert a == pytest.approx(a_ref, rel=1e-12, abs=1e-15)
         assert b == pytest.approx(b_ref, rel=1e-12)
@@ -128,9 +136,8 @@ class TestKernelSums:
     def test_matches_mpmath_on_random_spectrum(self):
         rng = np.random.default_rng(42)
         evals = np.sort(rng.uniform(0.5, 4.0, size=5))[::-1]
-        ctx = KernelContext.from_eigenvalues(evals, 30)
         for lam in (0.2, 1.1, 2.7, 5.0):
-            a, b = kernel_ab(lam, ctx)
+            a, b = ab_at(lam, evals, 30)
             a_ref, b_ref = kernel_ab_mp(lam, evals, 30)
             assert a == pytest.approx(float(a_ref), rel=1e-12, abs=1e-14)
             assert b == pytest.approx(float(b_ref), rel=1e-12, abs=1e-14)
@@ -192,19 +199,7 @@ class TestShrinkEigenvalues:
 
 
 class TestLwCovariance:
-    def test_keeps_sample_basis(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 20))
-        decomp = spectral_decompose(a @ a.T / 20)
-        est = lw_covariance(decomp, 20, 5)
-        np.testing.assert_array_equal(est.basis, decomp.eigenvectors)
-        m = est.matrix()
-        rebuilt = (decomp.eigenvectors * est.dhat) @ decomp.eigenvectors.T
-        np.testing.assert_allclose(m, rebuilt)
-
-    def test_estimate_rejects_nonpositive_dhat(self):
-        with pytest.raises(DomainError):
-            ShrinkageEstimate(np.eye(2), np.array([1.0, 0.0]), 8, 2)
+    """The shrunk eigenvalues of the LW covariance estimate."""
 
     def test_tracks_oracle_variances_on_average(self):
         # single seeded draw from the flat model: mean shrunk eigenvalue close
@@ -215,9 +210,9 @@ class TestLwCovariance:
         x2 = generate_sample(model, np.zeros(60), 80, rng)
         pair = SamplePair(x1, x2)
         decomp = spectral_decompose(pooled_scm(pair))
-        est = lw_covariance(decomp, pair.n, pair.p)
-        diag = oracle_diagnostics(decomp, est.dhat, model)
-        assert est.dhat.mean() == pytest.approx(diag.sigma2.mean(), rel=0.15)
+        dhat = shrink_eigenvalues(decomp, pair.n, pair.p)
+        diag = oracle_diagnostics(decomp, dhat, model)
+        assert dhat.mean() == pytest.approx(diag.sigma2.mean(), rel=0.15)
 
 
 class TestOracleDiagnostics:
