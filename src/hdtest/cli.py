@@ -17,7 +17,6 @@ import tempfile
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .detectors import DetectorKind
@@ -303,7 +302,6 @@ def _run_environment(held: dict, workers: int) -> dict:
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "workers": workers,
         "blas": [
             {"library": name, "threads_during_run": n, "threads_restored": restored.get(name)}

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DegenerateVarianceError,
@@ -88,7 +87,7 @@ def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError as exc:
             raise SingularCovarianceError("covariance is not positive definite") from exc
-        y = solve_triangular(chol, pair.mean_diff, lower=True)
+        y = np.linalg.solve(chol, pair.mean_diff)
     return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
 
 

@@ -29,6 +29,11 @@ SQRT5 = math.sqrt(5.0)
 # where the bracket vanishes and the product term's limit is 0.
 _LOG_GUARD = 1e-300
 
+# Entries per kernel-sum work buffer: the points are taken in row chunks of
+# about this many (point, eigenvalue) pairs, so the working set stays four
+# buffers of at most 512 KiB whatever the number of points and eigenvalues.
+_KERNEL_CHUNK = 1 << 16
+
 
 def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     """Vectorized kernel sums a(lambda), b(lambda) at many evaluation points.
@@ -45,21 +50,50 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     mass equal to the retained count.  At |x_j| = sqrt5 the log diverges but
     the bracket vanishes; the product's limit is 0, which the guard enforces
     when floating point lands exactly on the singularity.
+
+    The points run in row chunks through four reused work buffers, each step
+    an in-place ufunc with the operands and rounding of the one-shot
+    expression, and each row reduced whole; so the sums have the same bits
+    as that expression at any chunk size.
     """
-    lam = np.asarray(lams, dtype=float)[:, None]
-    ev = evals[None, :]
-    h = (float(n) ** (-1.0 / 3.0) * evals)[None, :]
-    x = (lam - ev) / h
-    bracket = 1.0 - 0.2 * x * x
-    num = SQRT5 * h - lam + ev
-    den = SQRT5 * h + lam - ev
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = np.log(np.abs(num) / np.abs(den))
-        prod = (3.0 / (4.0 * SQRT5 * math.pi * h)) * bracket * logterm
-    guarded = (np.abs(num) < _LOG_GUARD) | (np.abs(den) < _LOG_GUARD)
-    prod = np.where(guarded, 0.0, prod)
-    a = np.sum(-3.0 * x / (10.0 * math.pi * h) + prod, axis=1)
-    b = np.sum((3.0 / (4.0 * SQRT5 * h)) * np.maximum(bracket, 0.0), axis=1)
+    lams = np.asarray(lams, dtype=float)
+    k, m = lams.size, evals.size
+    h = float(n) ** (-1.0 / 3.0) * evals
+    sqrt5_h = SQRT5 * h
+    log_scale = 3.0 / (4.0 * SQRT5 * math.pi * h)
+    lin_scale = 10.0 * math.pi * h
+    bump_scale = 3.0 / (4.0 * SQRT5 * h)
+    a, b = np.empty(k), np.empty(k)
+    rows = max(1, _KERNEL_CHUNK // m)
+    bufs = np.empty((4, min(rows, k), m))
+    for i in range(0, k, rows):
+        lam = lams[i : i + rows, None]
+        x, t, num, den = bufs[:, : lam.shape[0]]
+        np.subtract(lam, evals, out=x)
+        x /= h
+        np.multiply(x, 0.2, out=t)
+        t *= x
+        bracket = np.subtract(1.0, t, out=t)
+        np.subtract(sqrt5_h, lam, out=num)
+        num += evals
+        np.add(sqrt5_h, lam, out=den)
+        den -= evals
+        np.abs(num, out=num)
+        np.abs(den, out=den)
+        guarded = (num < _LOG_GUARD) | (den < _LOG_GUARD)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logterm = np.divide(num, den, out=num)
+            np.log(logterm, out=logterm)
+            prod = np.multiply(log_scale, bracket, out=den)
+            prod *= logterm
+        prod[guarded] = 0.0
+        x *= -3.0
+        x /= lin_scale
+        x += prod
+        np.sum(x, axis=1, out=a[i : i + rows])
+        np.maximum(bracket, 0.0, out=bracket)
+        bracket *= bump_scale
+        np.sum(bracket, axis=1, out=b[i : i + rows])
     return a, b
 
 
@@ -167,7 +201,9 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     if m <= 0.0:
         raise DegenerateSpectrumError("zero-trace matrix has no loading optimum")
     u = decomp.eigenvectors
-    w = (u * u * diag[:, None]).sum(axis=0)
+    w = u * u
+    w *= diag[:, None]
+    w = w.sum(axis=0)
     p = decomp.p
     if w.size < p:
         # Range-plus-null form: every null direction has eigenvalue 0, so only
@@ -180,11 +216,16 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
         evaluations += 1
         inv = 1.0 / (lam + math.exp(t))
         tri = float(inv.sum())
-        t2 = float((w * inv * inv).sum())
-        return tri * tri / (p * t2)
+        den = p * float((w * inv * inv).sum())
+        snr = tri * tri / den if den > 0.0 else math.nan
+        if not math.isfinite(snr):
+            raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
+        return snr
 
     lo = math.log(m / _RANGE_DECADES)
     hi = math.log(m * _RANGE_DECADES)
+    if not math.isfinite(hi):
+        raise DomainError(f"loading scan range overflows at mean eigenvalue {m:.3g}")
     ts = np.linspace(lo, hi, _SCAN_POINTS)
     vals = [g(t) for t in ts]
     k = int(np.argmax(vals))

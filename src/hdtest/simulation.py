@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .detectors import (
     DetectorKind,
@@ -40,6 +39,7 @@ from .errors import DomainError, StructuralError
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
 from .spectral import DataMatrix, SamplePair, _readonly, pooled_scm  # noqa: F401
 
+SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SPIKE_BLOCK = 40
 
@@ -133,8 +133,9 @@ def generate_sample(
         u = rng.standard_normal(size=(model.p, n))
     else:
         raise StructuralError(f"unknown base distribution {base_dist!r}")
-    entries = mean[:, None] + np.sqrt(model.diag)[:, None] * u
-    return DataMatrix(entries)
+    u *= np.sqrt(model.diag)[:, None]
+    u += mean[:, None]
+    return DataMatrix(u, _owned=True)
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def worker_count(trials: int) -> int:
 
 # (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy
 # bundle: numpy's has the 64-bit integer interface and its suffix, scipy's
-# (loaded through scipy.linalg) has neither.
+# (loaded only where the caller imports scipy.linalg) has neither.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -238,8 +239,10 @@ class _OpenBlas(NamedTuple):
 def _find_openblas() -> tuple:
     """Every OpenBLAS mapped into this process that exports a thread-count pair.
 
-    Read from /proc/self/maps at the first call, not at import; by then the
-    imports of this module have loaded both numpy's and scipy's copies.
+    Read from /proc/self/maps at the first call, not at import; by then
+    importing numpy has loaded its copy.  hdtest itself never loads scipy's;
+    a caller that imported scipy.linalg before that first call has loaded it,
+    and then it is found and held too.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -479,7 +482,7 @@ def normality_check(z: np.ndarray) -> NormalitySummary:
     mean = float(z.mean())
     variance = float(z.var(ddof=1))
     zs = np.sort(z)
-    cdf = ndtr(zs)
+    cdf = np.array([0.5 * math.erfc(-v / SQRT2) for v in zs])
     i = np.arange(1, zs.size + 1)
     d_plus = float(np.max(i / zs.size - cdf))
     d_minus = float(np.max(cdf - (i - 1) / zs.size))

@@ -16,7 +16,7 @@ centred data; the null space is then left implicit (range-plus-null form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -28,8 +28,14 @@ SYMMETRY_ATOL = 1e-10
 EIGENVALUE_CLIP = 1e-10
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _readonly(a, owned=False) -> np.ndarray:
+    """A read-only float array with a's entries.
+
+    It is a copy, so a caller's later writes to `a` cannot reach it, unless
+    `owned` says that `a` is a float array the library has just made and
+    that nothing else holds; that one is frozen in place.
+    """
+    out = a if owned else np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -41,18 +47,23 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """A p x n block of observations, one column per observation."""
+    """A p x n block of observations, one column per observation.
+
+    The entries are a read-only copy of the caller's array.  `_owned=True`
+    is for arrays the library has just made: it freezes them in place.
+    """
 
     entries: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2:
             raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
         if e.shape[1] < 2:
             raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
         _require_finite(e, "data matrix")
-        object.__setattr__(self, "entries", _readonly(e))
+        object.__setattr__(self, "entries", _readonly(e, _owned))
 
     @property
     def p(self) -> int:
@@ -138,11 +149,12 @@ class SamplePair:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A square symmetric matrix with finite entries."""
+    """A square symmetric matrix with finite entries (copied as DataMatrix's are)."""
 
     entries: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {e.shape}")
@@ -150,7 +162,7 @@ class SymMatrix:
         scale = max(1.0, float(np.max(np.abs(e))))
         if np.max(np.abs(e - e.T)) > SYMMETRY_ATOL * scale:
             raise StructuralError("matrix is not symmetric")
-        object.__setattr__(self, "entries", _readonly(e))
+        object.__setattr__(self, "entries", _readonly(e, _owned))
 
     @property
     def p(self) -> int:
@@ -164,15 +176,17 @@ class SpectralDecomposition:
     The eigenvectors are either a full p x p basis or, in range-plus-null
     form, a p x r block for the first r eigenvalues; the remaining p - r
     eigenvalues are then exactly 0 and belong to the orthogonal complement
-    of the block, which is never formed.
+    of the block, which is never formed.  Both arrays are copied as
+    DataMatrix's entries are.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        vals = _readonly(self.eigenvalues)
-        vecs = _readonly(self.eigenvectors)
+    def __post_init__(self, _owned):
+        vals = _readonly(self.eigenvalues, _owned)
+        vecs = _readonly(self.eigenvectors, _owned)
         if vals.ndim != 1 or vecs.ndim != 2 or not vecs.shape[1] <= vecs.shape[0] == vals.size:
             raise StructuralError("inconsistent decomposition shapes")
         if np.any(vals[vecs.shape[1]:] != 0.0):
@@ -186,11 +200,17 @@ class SpectralDecomposition:
 
 
 def _covariance(s: np.ndarray) -> SymMatrix:
-    """A covariance formed from finite data; products past the float range
-    are a domain failure of the sample, not malformed input."""
+    """A covariance the library just formed from finite data; products past
+    the float range are a domain failure of the sample, not malformed input."""
     if not np.all(np.isfinite(s)):
         raise DomainError("pooled sample covariance overflows")
-    return SymMatrix(s)
+    return SymMatrix(s, _owned=True)
+
+
+def _scatter(x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    """(x - xbar)(x - xbar)' for one group, as a new p x p array."""
+    c = x - xbar[:, None]
+    return c @ c.T
 
 
 def pooled_scm(pair: SamplePair) -> SymMatrix:
@@ -201,21 +221,26 @@ def pooled_scm(pair: SamplePair) -> SymMatrix:
     eigendecompositions see an exactly symmetric matrix.  Finite data whose
     products overflow raise DomainError.
     """
-    c1 = pair.x1.entries - pair.xbar1[:, None]
-    c2 = pair.x2.entries - pair.xbar2[:, None]
-    s = (c1 @ c1.T + c2 @ c2.T) / pair.n
-    s = 0.5 * (s + s.T)
+    s = _scatter(pair.x1.entries, pair.xbar1)
+    s += _scatter(pair.x2.entries, pair.xbar2)
+    s /= pair.n
+    s += s.T
+    s *= 0.5
     return _covariance(s)
 
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first nonzero coordinate of each is positive."""
+def _fix_signs(vecs: np.ndarray, out=None) -> np.ndarray:
+    """Flip eigenvector signs so the first nonzero coordinate of each is positive.
+
+    The result goes to `out` (pass `vecs` itself to flip in place), or to a
+    new C-ordered array.
+    """
     nonzero = vecs != 0.0
     first = np.argmax(nonzero, axis=0)  # index of first True per column, 0 if none
     cols = np.arange(vecs.shape[1])
     lead = vecs[first, cols]
     signs = np.where(nonzero.any(axis=0), np.sign(lead), 1.0)
-    return vecs * signs
+    return np.multiply(vecs, signs, out=out, order="C")
 
 
 def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
@@ -232,12 +257,12 @@ def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
         m = SymMatrix(m)
     vals, vecs = np.linalg.eigh(m.entries)
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
     top = vals[0]
     if top > 0.0:
         tiny = np.abs(vals) <= EIGENVALUE_CLIP * top
         vals[tiny] = 0.0
-    return SpectralDecomposition(vals, _fix_signs(vecs))
+    # One new array takes the columns in non-increasing order with their signs.
+    return SpectralDecomposition(vals, _fix_signs(vecs[:, ::-1]), _owned=True)
 
 
 def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
@@ -258,12 +283,15 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     c = np.concatenate((pair.x1.entries, pair.x2.entries), axis=1)
     c[:, : pair.n1] -= pair.xbar1[:, None]
     c[:, pair.n1 :] -= pair.xbar2[:, None]
-    gram = spectral_decompose(_covariance(c.T @ c / pair.n))
+    g = c.T @ c
+    g /= pair.n
+    gram = spectral_decompose(_covariance(g))
+    del g  # the Gram matrix is not needed past its decomposition
     lam = gram.eigenvalues
     r = int(np.count_nonzero(lam > 0.0))
     vecs = c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r]))
     vals = np.concatenate((lam[:r], np.zeros(pair.p - r)))
-    return SpectralDecomposition(vals, _fix_signs(vecs))
+    return SpectralDecomposition(vals, _fix_signs(vecs, out=vecs), _owned=True)
 
 
 def quad_form_inverse(

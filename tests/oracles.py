@@ -39,6 +39,32 @@ def kernel_ab_mp(lam, evals, n, dps=50):
         return a, b
 
 
+def kernel_sums_one_shot(lams, evals, n):
+    """The kernel sums (a, b) as one (points x eigenvalues) expression.
+
+    This is the library's former single-pass form of `_kernel_sums`, kept as
+    the bit-for-bit reference for its chunked, in-place evaluation: each
+    entry goes through the same operations in the same order, so the two
+    must agree exactly, not just to a tolerance.
+    """
+    sqrt5 = math.sqrt(5.0)
+    lam = np.asarray(lams, dtype=float)[:, None]
+    ev = evals[None, :]
+    h = (float(n) ** (-1.0 / 3.0) * evals)[None, :]
+    x = (lam - ev) / h
+    bracket = 1.0 - 0.2 * x * x
+    num = sqrt5 * h - lam + ev
+    den = sqrt5 * h + lam - ev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logterm = np.log(np.abs(num) / np.abs(den))
+        prod = (3.0 / (4.0 * sqrt5 * math.pi * h)) * bracket * logterm
+    guarded = (np.abs(num) < 1e-300) | (np.abs(den) < 1e-300)
+    prod = np.where(guarded, 0.0, prod)
+    a = np.sum(-3.0 * x / (10.0 * math.pi * h) + prod, axis=1)
+    b = np.sum((3.0 / (4.0 * sqrt5 * h)) * np.maximum(bracket, 0.0), axis=1)
+    return a, b
+
+
 def shrink_mp(evals, n, p, dps=50):
     """Shrunk eigenvalues for strictly positive evals, in mpmath precision."""
     with mp.workdps(dps):

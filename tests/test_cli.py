@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import hdtest
 from hdtest import simulation
@@ -38,7 +37,7 @@ def check_environment(manifest, workers):
     assert env["platform"] == platform.platform()
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
-    assert env["scipy"] == scipy.__version__
+    assert "scipy" not in env  # scipy is not part of the runtime
     assert env["workers"] == workers
     restored = blas_threads()
     assert [b["library"] for b in env["blas"]] == list(restored)
@@ -137,6 +136,28 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["absent"][detector] == "pooled sample covariance overflows"
         capsys.readouterr()
+
+    def test_loading_search_out_of_float_range_is_an_absent_detector(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # diag up to 1e305: the loading scan's top end, 1e6 times the mean
+        # eigenvalue, leaves the float range
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        out = tmp_path / "run"
+        code = main(
+            [
+                "simulate",
+                "--p", "50", "--n1", "20", "--n2", "20", "--cov-order", "305",
+                "--trials", "3", "--detectors", "lappw",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["detectors"] == {}
+        assert "loading scan range overflows" in summary["absent"]["lappw"]
+        assert (out / "scores.csv").read_text() == "trial,hypothesis,detector,score\n"
+        assert "lappw: absent" in capsys.readouterr().out
 
     def test_unknown_detector_exits_2(self, tmp_path, capsys):
         code = main(
@@ -431,3 +452,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("hdtest")
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        """Importing the library and its CLI in a fresh interpreter leaves no
+        scipy module behind: numpy is the only numeric runtime."""
+        package_root = Path(hdtest.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package_root))
+        probe = (
+            "import sys, hdtest, hdtest.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_pyproject_keeps_scipy_out_of_the_runtime(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+        assert [d for d in project["optional-dependencies"]["test"] if d.startswith("scipy")]

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdtest import shrinkage
 from hdtest.errors import (
     DegenerateSpectrumError,
     DomainError,
@@ -20,7 +22,13 @@ from hdtest.shrinkage import (
 from hdtest.simulation import generate_sample, make_covariance
 from hdtest.spectral import SamplePair, SpectralDecomposition, pooled_scm, spectral_decompose
 
-from oracles import kernel_ab_mp, oracle_diagnostics, shrink_mp, snr_proxy_dense
+from oracles import (
+    kernel_ab_mp,
+    kernel_sums_one_shot,
+    oracle_diagnostics,
+    shrink_mp,
+    snr_proxy_dense,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -141,6 +149,68 @@ class TestKernelSums:
             a_ref, b_ref = kernel_ab_mp(lam, evals, 30)
             assert a == pytest.approx(float(a_ref), rel=1e-12, abs=1e-14)
             assert b == pytest.approx(float(b_ref), rel=1e-12, abs=1e-14)
+
+
+class TestChunkedKernelSums:
+    """_kernel_sums runs in row chunks; its sums must have the one-shot bits."""
+
+    K = 60  # evaluation points
+
+    @staticmethod
+    def spectrum():
+        # n = 1 gives bandwidths h_j = lambda_j, so lambda = 1 + sqrt5 lands
+        # exactly on the singularity of the eigenvalue 1.0 (num == 0 in floats)
+        rng = np.random.default_rng(17)
+        evals = np.sort(np.concatenate(([1.0], rng.uniform(0.05, 9.0, size=36))))[::-1]
+        points = np.concatenate(
+            ([1.0 + SQRT5, 0.0], evals[:20], rng.uniform(0.0, 12.0, size=TestChunkedKernelSums.K - 22))
+        )
+        assert (SQRT5 * 1.0 - points[0]) + 1.0 == 0.0  # the library's num at h = 1
+        return points, evals
+
+    @pytest.mark.parametrize(
+        "rows",
+        [K, 6, 7, 1, 0.5],  # chunk size in rows of eigenvalues; 60 = 10 * 6 = 8 * 7 + 4
+        ids=["one_chunk", "several_chunks", "ragged_last", "row_by_row", "under_one_row"],
+    )
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_matches_one_shot_expression(self, monkeypatch, rows, n):
+        points, evals = self.spectrum()
+        monkeypatch.setattr(shrinkage, "_KERNEL_CHUNK", int(rows * evals.size))
+        a, b = _kernel_sums(points, evals, n)
+        a_ref, b_ref = kernel_sums_one_shot(points, evals, n)
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(b, b_ref)
+        assert np.all(np.isfinite(a))
+
+    def test_default_chunk_matches_one_shot_at_scale(self):
+        rng = np.random.default_rng(5)
+        evals = np.sort(rng.uniform(0.1, 20.0, size=700))[::-1]
+        points = np.concatenate((evals, rng.uniform(0.0, 25.0, size=300)))
+        assert points.size * evals.size > 3 * shrinkage._KERNEL_CHUNK
+        a, b = _kernel_sums(points, evals, 1500)
+        a_ref, b_ref = kernel_sums_one_shot(points, evals, 1500)
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(b, b_ref)
+
+    def test_working_set_is_bounded_by_the_chunk(self):
+        k = m = 2000
+        rng = np.random.default_rng(6)
+        evals = np.sort(rng.uniform(0.1, 20.0, size=m))[::-1]
+        points = rng.uniform(0.0, 25.0, size=k)
+        # four float work buffers of at most _KERNEL_CHUNK entries, boolean
+        # masks of the same count, and a few length-k and length-m vectors;
+        # the one-shot form needs about 15 float arrays of k * m entries
+        limit = 5 * 8 * shrinkage._KERNEL_CHUNK + 8 * 8 * (k + m)
+        assert limit < k * m * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _kernel_sums(points, evals, 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, f"peak {peak} B over the {limit} B bound"
 
 
 class TestShrinkEigenvalues:
@@ -318,3 +388,14 @@ class TestOptimizeLoading:
             optimize_loading(
                 SpectralDecomposition(np.zeros(2), np.eye(2)), np.ones(2)
             )
+
+    def test_scan_range_past_the_float_range_is_a_domain_error(self):
+        # 1e6 times the mean eigenvalue 1e305 overflows
+        with pytest.raises(DomainError, match="scan range overflows"):
+            optimize_loading(decomp_from([1e305, 1e305]), np.ones(2))
+
+    def test_underflowing_objective_is_a_domain_error(self):
+        # the scan range is finite, but (1/(1e300 + loading))^2 underflows to
+        # 0 for unit weights, so the proxy's denominator vanishes
+        with pytest.raises(DomainError, match="SNR proxy is not finite"):
+            optimize_loading(decomp_from([1e300, 1e300]), np.ones(2))

@@ -47,6 +47,64 @@ class TestDataMatrix:
             m.entries[0, 0] = 1.0
 
 
+def caller_arrays(which):
+    """A caller's arrays for one value type, and that type's constructor."""
+    rng = np.random.default_rng(2)
+    if which == "data":
+        return [rng.standard_normal((3, 5))], DataMatrix
+    if which == "sym":
+        a = rng.standard_normal((4, 4))
+        return [a + a.T], SymMatrix
+    return [np.array([3.0, 2.0, 0.0]), np.eye(3)[:, :2].copy()], SpectralDecomposition
+
+
+def kept_arrays(obj):
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
+class TestCopyContract:
+    """Value types keep a read-only copy of a caller's arrays; only arrays
+    the library has just made are frozen in place instead."""
+
+    @pytest.mark.parametrize("which", ["data", "sym", "decomp"])
+    def test_caller_arrays_are_copied(self, which):
+        arrays, build = caller_arrays(which)
+        before = [a.copy() for a in arrays]
+        kept = kept_arrays(build(*arrays))
+        assert len(kept) == len(arrays)
+        for a in arrays:
+            assert a.flags.writeable  # the caller's array is left as it was
+            a[0] += 1.0
+        for k, b in zip(kept, before):
+            assert not k.flags.writeable
+            np.testing.assert_array_equal(k, b)
+
+    @pytest.mark.parametrize("which", ["data", "sym", "decomp"])
+    def test_read_only_views_of_writable_arrays_are_copied(self, which):
+        arrays, build = caller_arrays(which)
+        before = [a.copy() for a in arrays]
+        views = [a[...] for a in arrays]
+        for v in views:
+            v.flags.writeable = False
+        kept = kept_arrays(build(*views))
+        for a in arrays:
+            a += 1.0
+        for k, b in zip(kept, before):
+            np.testing.assert_array_equal(k, b)
+
+    @pytest.mark.parametrize("p", [6, 40])  # p x p and Gram side
+    def test_library_made_arrays_are_read_only(self, p):
+        rng = np.random.default_rng(p)
+        model = make_covariance(2, p, rng)
+        x1 = generate_sample(model, np.ones(p), 8, rng)
+        x2 = generate_sample(model, np.zeros(p), 9, rng)
+        pair = SamplePair(x1, x2)
+        made = [x1, x2, pair.scm, pair.decomposition, spectral_decompose(pair.scm.entries)]
+        for a in (a for obj in made for a in kept_arrays(obj)):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 class TestSamplePair:
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
