@@ -23,6 +23,8 @@ from .detectors import DetectorKind
 from .errors import DomainError, StructuralError
 from .shrinkage import shrink_eigenvalues
 from .simulation import (
+    NULL_HYPOTHESES,
+    SIMULATE_HYPOTHESES,
     SimulationConfig,
     blas_pinned,
     blas_threads,
@@ -138,7 +140,7 @@ def cmd_simulate(args) -> int:
             table = run_trials(config)
     except DomainError as exc:
         return _fail(str(exc), 3)
-    environment = _run_environment(held, worker_count(config.trials))
+    environment = _run_environment(held, worker_count(config.trials, SIMULATE_HYPOTHESES))
     outputs = []
 
     scores_path = os.path.join(args.out_dir, "scores.csv")
@@ -204,7 +206,7 @@ def cmd_null_check(args) -> int:
         return _fail(str(exc), 2)
     except DomainError as exc:
         return _fail(str(exc), 3)
-    environment = _run_environment(held, worker_count(config.trials))
+    environment = _run_environment(held, worker_count(config.trials, NULL_HYPOTHESES))
     outputs = []
 
     samples_path = os.path.join(args.out_dir, "z_samples.csv")

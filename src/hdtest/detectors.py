@@ -127,18 +127,24 @@ def bs96_score(pair: SamplePair) -> ScoreResult:
     (2(n+1)/n) * B_n sits under the square root.  tr S and tr(S^2) are read
     off pair.scm when p <= n1 + n2, and off the spectrum of
     pair.decomposition (sum of the eigenvalues and of their squares)
-    otherwise, where no p x p matrix is formed.
+    otherwise, where no p x p matrix is formed.  Traces whose squares leave
+    the float range raise DomainError.
     """
     n = pair.n
-    if pair.gram_side:
-        lam = pair.decomposition.eigenvalues
-        tr = float(lam.sum())
-        tr2 = float(lam @ lam)
-    else:
-        s = pair.scm.entries
-        tr = float(np.trace(s))
-        tr2 = float(np.sum(s * s))
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        if pair.gram_side:
+            lam = pair.decomposition.eigenvalues
+            tr = float(lam.sum())
+            tr2 = float(lam @ lam)
+        else:
+            s = pair.scm.entries
+            tr = float(np.trace(s))
+            tr2 = float(np.sum(s * s))
     bn = n * n / ((n + 2.0) * (n - 1.0)) * (tr2 - tr * tr / n)
+    if not math.isfinite(bn):
+        raise DomainError(
+            "bs96 variance estimate overflows: tr(S^2) or (tr S)^2 leaves the float range"
+        )
     if bn <= 0.0:
         raise DegenerateVarianceError(f"variance estimate B_n = {bn} is not positive")
     diff = pair.mean_diff

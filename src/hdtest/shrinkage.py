@@ -187,7 +187,8 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
 
     The proxy is the direction-averaged (tr A^{-1})^2 / (p tr(A^{-1} R A^{-1})),
     R the population covariance.  It is evaluated in the eigenbasis of S:
-    with w_i = (U'RU)_ii precomputed once, each evaluation costs O(p).  A
+    with w_i = (U'RU)_ii precomputed once, each evaluation costs O(p), and
+    the scan's points are evaluated together as one block.  A
     range-plus-null decomposition carries the null space's total weight,
     tr R minus the range w_i.  The search scans 64 points of log-lambda over
     [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
@@ -211,23 +212,35 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
         w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
     evaluations = 0
 
-    def g(t: float) -> float:
+    def snr(ts) -> list:
+        """The proxy at each log-loading t in ts.  Row i of a (len(ts), p)
+        block holds 1/(lam + e^t); each row reduces as one length-p vector,
+        and the rest is float arithmetic, so a point has the same bits in a
+        block of 64 as alone."""
         nonlocal evaluations
-        evaluations += 1
-        inv = 1.0 / (lam + math.exp(t))
-        tri = float(inv.sum())
-        den = p * float((w * inv * inv).sum())
-        snr = tri * tri / den if den > 0.0 else math.nan
-        if not math.isfinite(snr):
-            raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
-        return snr
+        evaluations += len(ts)
+        inv = np.add.outer([math.exp(t) for t in ts], lam)
+        np.divide(1.0, inv, out=inv)
+        weighted = w * inv
+        weighted *= inv
+        vals = []
+        for tri, s in zip(inv.sum(axis=1).tolist(), weighted.sum(axis=1).tolist()):
+            den = p * s
+            val = tri * tri / den if den > 0.0 else math.nan
+            if not math.isfinite(val):
+                raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
+            vals.append(val)
+        return vals
+
+    def g(t: float) -> float:
+        return snr((t,))[0]
 
     lo = math.log(m / _RANGE_DECADES)
     hi = math.log(m * _RANGE_DECADES)
     if not math.isfinite(hi):
         raise DomainError(f"loading scan range overflows at mean eigenvalue {m:.3g}")
     ts = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = [g(t) for t in ts]
+    vals = snr(ts.tolist())
     k = int(np.argmax(vals))
     a = ts[max(k - 1, 0)]
     b = ts[min(k + 1, _SCAN_POINTS - 1)]

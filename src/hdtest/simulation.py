@@ -3,11 +3,11 @@
 A run is a pure function of its configuration.  Per-trial randomness comes
 from seed streams derived as SeedSequence([seed, stream, trial, hypothesis]),
 so results are bit-identical regardless of how many worker threads execute
-the trials (each trial writes into its own preallocated slot).  While the
-trial engine runs, every loaded OpenBLAS is held at one thread, so the bits
-do not depend on the BLAS thread count either.  A detector that fails its
-precondition is not scored on later trials; its first failure in trial order
-is the one reported, at any worker count.
+the (trial, hypothesis) pairs (each pair writes into its own preallocated
+slot).  While the trial engine runs, every loaded OpenBLAS is held at one
+thread, so the bits do not depend on the BLAS thread count either.  A
+detector that fails its precondition is not scored on later trials; its
+first failure in trial order is the one reported, at any worker count.
 """
 
 from __future__ import annotations
@@ -215,9 +215,15 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def worker_count(trials: int) -> int:
-    """Threads an engine run of `trials` trials uses: thread_count(), at most one per trial."""
-    return min(thread_count(), trials)
+# The hypotheses each engine entry point runs: run_trials draws an H0 and an
+# H1 pair per trial, null_z_samples only the H0 pair.
+SIMULATE_HYPOTHESES = (0, 1)
+NULL_HYPOTHESES = (0,)
+
+
+def worker_count(trials: int, hypotheses: tuple) -> int:
+    """Threads an engine run uses: thread_count(), at most one per (trial, hypothesis) pair."""
+    return min(thread_count(), trials * len(hypotheses))
 
 
 # (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy
@@ -304,18 +310,23 @@ def blas_pinned():
                     lib.set(n)
 
 
-def _map_trials(fn, trials: int) -> list:
-    """[fn(0), ..., fn(trials - 1)] in trial order, with BLAS held at one thread.
+def _map_pairs(fn, trials: int, hypotheses: tuple) -> None:
+    """fn(t, h) for every (trial, hypothesis) pair, handed out in (t, h) order,
+    with BLAS held at one thread.
 
-    The trials run on worker_count(trials) threads, or inline when that is 1;
-    the BLAS hold covers both, so the results do not depend on either count.
+    The pairs run on worker_count(trials, hypotheses) threads, or inline when
+    that is 1; the BLAS hold covers both, so the results do not depend on
+    either count.
     """
+    ts = [t for t in range(trials) for _ in hypotheses]
+    hs = list(hypotheses) * trials
     with blas_pinned():
-        workers = worker_count(trials)
+        workers = worker_count(trials, hypotheses)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, range(trials)))
-        return [fn(t) for t in range(trials)]
+                list(pool.map(fn, ts, hs))
+        else:
+            list(map(fn, ts, hs))
 
 
 @dataclass(frozen=True)
@@ -349,7 +360,8 @@ _DETECTORS = {
 def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     """The trial engine: (model, scores, failures).
 
-    scores holds one {detector: array} per hypothesis; trial t writes slot t.
+    scores holds one {detector: array} per hypothesis; the (trial, hypothesis)
+    pair (t, h) writes slot t of hypothesis h's arrays.
     Trial t under hypothesis h draws from its own stream trial_seed(seed, t, h):
     under H0 both group means are zero, and under H1 the group 1 mean is
     drawn first, fresh from the radius sphere.  The covariance model's eps
@@ -368,33 +380,31 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
         seed=tuple(model_seed(config.seed)),
     )
     zeros = np.zeros(config.p)
-    scores = tuple({k: np.empty(config.trials) for k in config.detectors} for _ in hypotheses)
+    scores = {h: {k: np.empty(config.trials) for k in config.detectors} for h in hypotheses}
     first = {}  # detector -> ((trial, hypothesis), error), the earliest failure so far
     lock = threading.Lock()
 
-    def one_trial(t: int) -> None:
-        for h, out in zip(hypotheses, scores):
-            with lock:
-                kinds = [k for k in config.detectors if k not in first or first[k][0] > (t, h)]
-            if not kinds:
-                continue
-            rng = _trial_rng(config.seed, t, h)
-            mu = sample_sphere(config.p, config.radius, rng) if h else zeros
-            x1 = generate_sample(model, mu, config.n1, rng, config.base_dist)
-            x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist)
-            pair = SamplePair(x1, x2)
-            for kind in kinds:
-                try:
-                    out[kind][t] = _DETECTORS[kind](pair, model).score
-                except DomainError as exc:
-                    with lock:
-                        if kind not in first or first[kind][0] > (t, h):
-                            first[kind] = ((t, h), exc)
-            del pair  # frees its SCM and decomposition before the next draw
+    def one_pair(t: int, h: int) -> None:
+        with lock:
+            kinds = [k for k in config.detectors if k not in first or first[k][0] > (t, h)]
+        if not kinds:
+            return
+        rng = _trial_rng(config.seed, t, h)
+        mu = sample_sphere(config.p, config.radius, rng) if h else zeros
+        x1 = generate_sample(model, mu, config.n1, rng, config.base_dist)
+        x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist)
+        pair = SamplePair(x1, x2)
+        for kind in kinds:
+            try:
+                scores[h][kind][t] = _DETECTORS[kind](pair, model).score
+            except DomainError as exc:
+                with lock:
+                    if kind not in first or first[kind][0] > (t, h):
+                        first[kind] = ((t, h), exc)
 
-    _map_trials(one_trial, config.trials)
+    _map_pairs(one_pair, config.trials, hypotheses)
     order = sorted(first, key=lambda k: (first[k][0][0], config.detectors.index(k)))
-    return model, scores, {k: first[k][1] for k in order}
+    return model, tuple(scores.values()), {k: first[k][1] for k in order}
 
 
 def run_trials(config: SimulationConfig) -> ScoreTable:
@@ -404,7 +414,7 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
     detector that failed its precondition on any trial is dropped entirely,
     with the first failure in trial order as the reason.
     """
-    model, scores, failures = _run(config, (0, 1))
+    model, scores, failures = _run(config, SIMULATE_HYPOTHESES)
     h0, h1 = ({k: _readonly(v) for k, v in s.items() if k not in failures} for s in scores)
     absent = {k: str(exc) for k, exc in failures.items()}
     return ScoreTable(config=config, model=model, h0=h0, h1=h1, absent=absent)
@@ -449,7 +459,10 @@ def roc_curve(h0_scores: np.ndarray, h1_scores: np.ndarray) -> RocCurve:
         raise StructuralError("both score samples must be nonempty")
     if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
         raise StructuralError("scores must be finite")
-    thresholds = np.unique(np.concatenate([h0, h1]))[::-1]
+    pooled = np.sort(np.concatenate([h0, h1]))
+    distinct = np.ones(pooled.size, dtype=bool)
+    distinct[1:] = pooled[1:] != pooled[:-1]
+    thresholds = pooled[distinct][::-1]
     h0s = np.sort(h0)
     h1s = np.sort(h1)
     fpr = (h0.size - np.searchsorted(h0s, thresholds, side="right")) / h0.size
@@ -497,7 +510,7 @@ def null_z_samples(config: SimulationConfig) -> np.ndarray:
     precondition failure in trial order is raised.
     """
     lw = DetectorKind.PROPOSED_LW
-    _, (scores,), failures = _run(replace(config, detectors=(lw,)), (0,))
+    _, (scores,), failures = _run(replace(config, detectors=(lw,)), NULL_HYPOTHESES)
     if lw in failures:
         raise failures[lw]
     return scores[lw]

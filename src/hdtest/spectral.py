@@ -232,14 +232,18 @@ def pooled_scm(pair: SamplePair) -> SymMatrix:
 def _fix_signs(vecs: np.ndarray, out=None) -> np.ndarray:
     """Flip eigenvector signs so the first nonzero coordinate of each is positive.
 
-    The result goes to `out` (pass `vecs` itself to flip in place), or to a
-    new C-ordered array.
+    A column whose row-0 entry is nonzero takes its sign from that entry;
+    only the others are scanned for their first nonzero coordinate.  The
+    result goes to `out` (pass `vecs` itself to flip in place), or to a new
+    C-ordered array.
     """
-    nonzero = vecs != 0.0
-    first = np.argmax(nonzero, axis=0)  # index of first True per column, 0 if none
-    cols = np.arange(vecs.shape[1])
-    lead = vecs[first, cols]
-    signs = np.where(nonzero.any(axis=0), np.sign(lead), 1.0)
+    signs = np.sign(vecs[0])
+    rest = signs == 0.0
+    if rest.any():
+        nonzero = vecs[:, rest] != 0.0
+        first = np.argmax(nonzero, axis=0)  # index of first True per column, 0 if none
+        lead = vecs[first, np.flatnonzero(rest)]
+        signs[rest] = np.where(nonzero.any(axis=0), np.sign(lead), 1.0)
     return np.multiply(vecs, signs, out=out, order="C")
 
 
@@ -280,9 +284,9 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     """
     if not pair.gram_side:
         return spectral_decompose(pair.scm)
-    c = np.concatenate((pair.x1.entries, pair.x2.entries), axis=1)
-    c[:, : pair.n1] -= pair.xbar1[:, None]
-    c[:, pair.n1 :] -= pair.xbar2[:, None]
+    c = np.empty((pair.p, pair.n1 + pair.n2))
+    np.subtract(pair.x1.entries, pair.xbar1[:, None], out=c[:, : pair.n1])
+    np.subtract(pair.x2.entries, pair.xbar2[:, None], out=c[:, pair.n1 :])
     g = c.T @ c
     g /= pair.n
     gram = spectral_decompose(_covariance(g))

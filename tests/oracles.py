@@ -131,6 +131,94 @@ def dense_path_scores(pair, pop):
     }
 
 
+class ScalarLoading(NamedTuple):
+    """The loading search's result, plus the index of the scan's best point."""
+
+    lambda_star: float
+    snr_at_optimum: float
+    evaluations: int
+    scan_argmax: int
+
+
+def loading_search_scalar(decomp, pop):
+    """The diagonal-loading search with one scalar evaluation per point.
+
+    This is the library's former form of `optimize_loading`, kept as the
+    bit-for-bit reference for its block scan: the 64 scan points are taken
+    one at a time, each as a length-p vector expression, and the golden
+    section refines the bracket around the best of them.
+    """
+    diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
+    lam = decomp.eigenvalues
+    u = decomp.eigenvectors
+    p = decomp.p
+    w = u * u
+    w *= diag[:, None]
+    w = w.sum(axis=0)
+    if w.size < p:
+        w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
+    count = 0
+
+    def g(t):
+        nonlocal count
+        count += 1
+        inv = 1.0 / (lam + math.exp(t))
+        tri = float(inv.sum())
+        den = p * float((w * inv * inv).sum())
+        return tri * tri / den
+
+    m = float(lam.mean())
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    ts = np.linspace(math.log(m / 1e6), math.log(m * 1e6), 64)
+    vals = [g(t) for t in ts]
+    k = int(np.argmax(vals))
+    a, b = ts[max(k - 1, 0)], ts[min(k + 1, 63)]
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = g(c), g(d)
+    while b - a > 1e-6:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = g(d)
+    best_t, best_f = max([(ts[k], vals[k]), (c, fc), (d, fd)], key=lambda pt: pt[1])
+    return ScalarLoading(math.exp(best_t), float(best_f), count, k)
+
+
+def fix_signs_by_scan(vecs):
+    """Each column negated when its first nonzero entry is negative (an
+    all-zero column is kept), one column at a time."""
+    out = np.array(vecs, dtype=float, order="C")
+    for j in range(out.shape[1]):
+        nonzero = np.flatnonzero(out[:, j])
+        if nonzero.size and out[nonzero[0], j] < 0.0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def roc_points_unique(h0, h1):
+    """ROC points (fpr, tpr) at the np.unique thresholds, counted one by one.
+
+    From (0, 0), each distinct pooled score, largest first, adds the point
+    (fraction of h0 above it, fraction of h1 above it) unless it repeats the
+    last one; (1, 1) closes the curve.
+    """
+    fpr, tpr = [0.0], [0.0]
+    for thr in np.unique(np.concatenate([h0, h1]))[::-1]:
+        pt = (sum(x > thr for x in h0) / len(h0), sum(x > thr for x in h1) / len(h1))
+        if pt != (fpr[-1], tpr[-1]):
+            fpr.append(pt[0])
+            tpr.append(pt[1])
+    if (fpr[-1], tpr[-1]) != (1.0, 1.0):
+        fpr.append(1.0)
+        tpr.append(1.0)
+    return np.array(fpr), np.array(tpr)
+
+
 def snr_proxy_dense(m, r):
     """SNR proxy (tr A^-1)^2 / (p * tr(A^-1 R A^-1)) with A^-1 = inv(m), by dense inversion."""
     inv = np.linalg.inv(m)

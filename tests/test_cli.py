@@ -79,10 +79,24 @@ class TestSimulateCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_manifest_records_numeric_environment(self, tmp_path, monkeypatch):
+        # two trials are four (trial, hypothesis) pairs, so all three threads work
         monkeypatch.setenv("HDTEST_THREADS", "3")
         out = tmp_path / "run"
         assert run_simulate(out) == 0
-        check_environment(json.loads((out / "manifest.json").read_text()), workers=2)
+        check_environment(json.loads((out / "manifest.json").read_text()), workers=3)
+
+    def test_one_trial_runs_on_two_workers_with_the_same_bytes(self, tmp_path, monkeypatch):
+        """One trial is two pairs: under HDTEST_THREADS=2 both workers run one,
+        and scores.csv has the bytes of a one-worker run."""
+        scores = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HDTEST_THREADS", threads)
+            out = tmp_path / f"threads{threads}"
+            assert run_simulate(out, ["--trials", "1"]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"]["workers"] == int(threads)
+            scores.append((out / "scores.csv").read_bytes())
+        assert scores[0] == scores[1]
 
     def test_environment_stays_out_of_scores(self, tmp_path, monkeypatch):
         """scores.csv has the same bytes whether or not the manifest lists BLAS
@@ -136,6 +150,31 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["absent"][detector] == "pooled sample covariance overflows"
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "p,order,detectors",
+        [(30, 160, "bs96,cq10,oracle"), (50, 305, "lw,bs96,cq10,oracle")],
+        ids=["p<=N", "gram-side"],
+    )
+    def test_bs96_trace_overflow_is_an_absent_detector(self, tmp_path, p, order, detectors):
+        """tr(S^2) past the float range is a reported precondition failure of
+        bs96, with no numpy warning on stderr."""
+        package_root = Path(hdtest.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package_root), HDTEST_THREADS="1")
+        out = tmp_path / "run"
+        args = [
+            "simulate", "--p", str(p), "--n1", "20", "--n2", "20", "--cov-order", str(order),
+            "--trials", "3", "--detectors", detectors, "--out-dir", str(out),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdtest.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        reason = json.loads((out / "summary.json").read_text())["absent"]["bs96"]
+        assert reason.startswith("bs96 variance estimate overflows")
+        assert "bs96: absent (bs96 variance estimate overflows" in proc.stdout
 
     def test_loading_search_out_of_float_range_is_an_absent_detector(
         self, tmp_path, monkeypatch, capsys
@@ -469,6 +508,23 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_simulate_loads_no_numpy_ma(self, tmp_path):
+        """A whole simulate run in a fresh interpreter, ROC curves included,
+        never imports numpy.ma."""
+        package_root = Path(hdtest.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package_root))
+        probe = (
+            "import sys; from hdtest.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *SIM_ARGS, "--out-dir", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run" / "roc_lw.csv").exists()
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
     def test_pyproject_keeps_scipy_out_of_the_runtime(self):
         tomllib = pytest.importorskip("tomllib")

@@ -25,6 +25,7 @@ from hdtest.spectral import SamplePair, SpectralDecomposition, pooled_scm, spect
 from oracles import (
     kernel_ab_mp,
     kernel_sums_one_shot,
+    loading_search_scalar,
     oracle_diagnostics,
     shrink_mp,
     snr_proxy_dense,
@@ -399,3 +400,44 @@ class TestOptimizeLoading:
         # 0 for unit weights, so the proxy's denominator vanishes
         with pytest.raises(DomainError, match="SNR proxy is not finite"):
             optimize_loading(decomp_from([1e300, 1e300]), np.ones(2))
+
+
+def loading_pair(p, order, seed):
+    rng = np.random.default_rng(seed)
+    model = make_covariance(order, p, rng)
+    pair = SamplePair(
+        generate_sample(model, np.zeros(p), 40, rng),
+        generate_sample(model, np.zeros(p), 40, rng),
+    )
+    return pair, model
+
+
+class TestBlockScan:
+    """optimize_loading evaluates its 64 scan points as one block; every
+    field of its result has the bits of the one-point-at-a-time search."""
+
+    @staticmethod
+    def check(decomp, pop):
+        want = loading_search_scalar(decomp, pop)
+        got = optimize_loading(decomp, pop)
+        assert got == LoadingResult(want.lambda_star, want.snr_at_optimum, want.evaluations)
+        return want
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [60, 150], ids=["p<=N", "p>N"])
+    def test_matches_the_scalar_scan(self, p, order):
+        for seed in range(3):
+            pair, model = loading_pair(p, order, seed)
+            decomp = pair.decomposition
+            assert decomp.eigenvectors.shape[1] == (p if p <= 80 else pair.n)
+            self.check(decomp, model)
+
+    @pytest.mark.parametrize(
+        "pop, edge", [(lambda ev: ev, 0), (np.ones_like, 63)], ids=["bottom", "top"]
+    )
+    def test_optimum_at_a_scan_edge(self, pop, edge):
+        # R equal to the spectrum peaks at the smallest loading, R = I at the
+        # largest; the golden section then brackets against the scan's end
+        for evals in ([4.0, 2.0, 1.0, 0.5], [100.0, 1.0, 0.01]):
+            decomp = decomp_from(evals)
+            assert self.check(decomp, pop(decomp.eigenvalues)).scan_argmax == edge

@@ -38,7 +38,7 @@ from hdtest.simulation import (
     write_scores_csv,
 )
 
-from oracles import auc_brute
+from oracles import auc_brute, roc_points_unique
 
 SMALL = dict(p=8, n1=10, n2=12, trials=3, seed=5)
 
@@ -402,6 +402,49 @@ class TestRunTrials:
             assert len(calls) == 2 * k + 1 + first_h
 
 
+class TestPairScheduling:
+    """The engine's unit of work is one (trial, hypothesis) pair."""
+
+    def test_pairs_are_handed_out_in_trial_then_hypothesis_order(self, monkeypatch):
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        seen = []
+
+        def trial_rng(seed, t, h, inner=simulation._trial_rng):
+            seen.append((t, h))
+            return inner(seed, t, h)
+
+        monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
+        run_trials(SimulationConfig(**SMALL))
+        assert seen == [(t, h) for t in range(SMALL["trials"]) for h in (0, 1)]
+
+    def test_one_trial_runs_its_two_pairs_on_two_threads(self, monkeypatch):
+        """Both pairs of the only trial must be inside cq10 at once: the
+        barrier breaks, and the run raises, if one thread ran the whole trial."""
+        monkeypatch.setenv("HDTEST_THREADS", "2")
+        barrier = threading.Barrier(2, timeout=30)
+        threads = set()
+
+        def cq10(pair, inner=simulation.cq10_score):
+            threads.add(threading.get_ident())
+            barrier.wait()
+            return inner(pair)
+
+        monkeypatch.setattr(simulation, "cq10_score", cq10)
+        cfg = SimulationConfig(p=8, n1=10, n2=12, trials=1, seed=5, detectors=("cq10",))
+        assert simulation.worker_count(cfg.trials, simulation.SIMULATE_HYPOTHESES) == 2
+        table = run_trials(cfg)
+        assert len(threads) == 2
+        assert table.absent == {}
+
+    @pytest.mark.parametrize(
+        "threads, trials, simulate, null", [("3", 1, 2, 1), ("3", 2, 3, 2), ("1", 5, 1, 1)]
+    )
+    def test_worker_count_counts_pairs(self, threads, trials, simulate, null, monkeypatch):
+        monkeypatch.setenv("HDTEST_THREADS", threads)
+        assert simulation.worker_count(trials, simulation.SIMULATE_HYPOTHESES) == simulate
+        assert simulation.worker_count(trials, simulation.NULL_HYPOTHESES) == null
+
+
 def _openblas_or_skip():
     libs = simulation._find_openblas()
     if not libs:
@@ -570,6 +613,20 @@ class TestRocCurve:
         np.testing.assert_array_equal(base.fpr, warped.fpr)
         np.testing.assert_array_equal(base.tpr, warped.tpr)
         assert base.auc == warped.auc
+
+    def test_points_match_the_unique_thresholds_with_ties(self):
+        rng = np.random.default_rng(4)
+        samples = [
+            (np.round(rng.standard_normal(40), 1), np.round(rng.standard_normal(60) + 0.5, 1)),
+            (np.array([0.0, -0.0, 1.0, 1.0]), np.array([-0.0, 0.0, 1.0, 2.0])),
+            (np.full(5, 2.5), np.full(3, 2.5)),
+            (np.array([3.0]), np.array([-1.0])),
+        ]
+        for h0, h1 in samples:
+            curve = roc_curve(h0, h1)
+            fpr, tpr = roc_points_unique(h0, h1)
+            assert curve.fpr.tobytes() == fpr.tobytes()
+            assert curve.tpr.tobytes() == tpr.tobytes()
 
     def test_rejects_empty_or_non_finite(self):
         with pytest.raises(StructuralError):

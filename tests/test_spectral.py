@@ -10,6 +10,7 @@ from hdtest.spectral import (
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
+    _fix_signs,
     decompose_pair,
     pooled_scm,
     quad_form_inverse,
@@ -17,6 +18,8 @@ from hdtest.spectral import (
     spectral_decompose,
     write_matrix_csv,
 )
+
+from oracles import fix_signs_by_scan
 
 
 def random_pair(rng, p, n1, n2):
@@ -193,6 +196,36 @@ class TestSpectralDecompose:
         # genuinely indefinite matrices keep their negative eigenvalues
         d = spectral_decompose(SymMatrix(np.diag([1.0, -0.5])))
         assert d.eigenvalues[-1] == -0.5
+
+
+class TestFixSigns:
+    """Row 0 decides a column's sign where it is nonzero; the other columns
+    are scanned.  Either way the result has the bits of a column-by-column
+    scan for the first nonzero entry."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(8)
+        vecs = rng.standard_normal((7, 6))
+        vecs[0, 1] = 0.0  # first nonzero entry later, and negative
+        vecs[1, 1] = -0.25
+        vecs[0, 2] = -0.0  # a negative zero is a zero
+        vecs[:3, 3] = 0.0
+        vecs[:, 4] = 0.0  # all-zero column
+        yield vecs
+        yield np.zeros((3, 2))
+        yield rng.standard_normal((40, 5))  # row 0 decides every column
+        yield np.asfortranarray(vecs)
+
+    def test_matches_the_full_scan(self):
+        for vecs in self.cases():
+            want = fix_signs_by_scan(vecs)
+            got = _fix_signs(vecs)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+            inplace = np.array(vecs, order="C")
+            assert _fix_signs(inplace, out=inplace) is inplace
+            assert inplace.tobytes() == want.tobytes()
 
 
 def model_pair(p, n1, n2, order, seed=0):
