@@ -293,6 +293,21 @@ def cmd_shrink(args) -> int:
     return 0
 
 
+def _platform_name() -> str:
+    """platform.platform(), without its `uname -p` subprocess on Linux.
+
+    There platform.platform() is system-release-machine-processor-with-libc,
+    and the processor part is blank wherever `uname -p` prints `unknown` or
+    the machine name; this builds that string from os.uname and the libc
+    version alone.
+    """
+    u = platform.uname()  # the processor field is resolved only when read
+    if u.system != "Linux":
+        return platform.platform()
+    lib, version = platform.libc_ver()
+    return "-".join(filter(None, (u.system, u.release, u.machine, "with", lib + version)))
+
+
 def _run_environment(held: dict, workers: int) -> dict:
     """What produced a run's numbers: platform, versions, workers, BLAS threads.
 
@@ -301,7 +316,7 @@ def _run_environment(held: dict, workers: int) -> dict:
     """
     restored = blas_threads()
     return {
-        "platform": platform.platform(),
+        "platform": _platform_name(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "workers": workers,

@@ -160,15 +160,22 @@ def cq10_score(pair: SamplePair) -> ScoreResult:
 
     Works on raw uncentered columns.  The diagonal-free sums are computed in
     O(p*(n1+n2)) via sum_{i != j} x_i' x_j = ||sum_i x_i||^2 - sum_i ||x_i||^2.
+    Sums whose squares leave the float range raise DomainError.
     """
     x1, x2 = pair.x1.entries, pair.x2.entries
     n1, n2 = pair.n1, pair.n2
-    s1 = x1.sum(axis=1)
-    s2 = x2.sum(axis=1)
-    q1 = (float(s1 @ s1) - float(np.sum(x1 * x1))) / (n1 * (n1 - 1.0))
-    q2 = (float(s2 @ s2) - float(np.sum(x2 * x2))) / (n2 * (n2 - 1.0))
-    cross = 2.0 * float(s1 @ s2) / (n1 * n2)
-    return ScoreResult(DetectorKind.CQ10, q1 + q2 - cross)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        s1 = x1.sum(axis=1)
+        s2 = x2.sum(axis=1)
+        q1 = (float(s1 @ s1) - float(np.sum(x1 * x1))) / (n1 * (n1 - 1.0))
+        q2 = (float(s2 @ s2) - float(np.sum(x2 * x2))) / (n2 * (n2 - 1.0))
+        cross = 2.0 * float(s1 @ s2) / (n1 * n2)
+    score = q1 + q2 - cross
+    if not math.isfinite(score):
+        raise DomainError(
+            "cq10 statistic overflows: a squared norm of the data leaves the float range"
+        )
+    return ScoreResult(DetectorKind.CQ10, score)
 
 
 def lappw_score(pair: SamplePair, pop) -> ScoreResult:

@@ -20,7 +20,7 @@ from .errors import (
     StructuralError,
     UnsupportedAspectRatioError,
 )
-from .spectral import SpectralDecomposition, _require_finite
+from .spectral import SpectralDecomposition, _require_finite, weighted_norms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -29,9 +29,9 @@ SQRT5 = math.sqrt(5.0)
 # where the bracket vanishes and the product term's limit is 0.
 _LOG_GUARD = 1e-300
 
-# Entries per kernel-sum work buffer: the points are taken in row chunks of
-# about this many (point, eigenvalue) pairs, so the working set stays four
-# buffers of at most 512 KiB whatever the number of points and eigenvalues.
+# Entries per work buffer: the kernel sums take their points, and the loading
+# scan its points, in row chunks of about this many entries, so the working
+# set stays a few buffers of at most 512 KiB whatever the sizes.
 _KERNEL_CHUNK = 1 << 16
 
 
@@ -187,8 +187,9 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
 
     The proxy is the direction-averaged (tr A^{-1})^2 / (p tr(A^{-1} R A^{-1})),
     R the population covariance.  It is evaluated in the eigenbasis of S:
-    with w_i = (U'RU)_ii precomputed once, each evaluation costs O(p), and
-    the scan's points are evaluated together as one block.  A
+    with w_i = (U'RU)_ii precomputed once (spectral.weighted_norms), each
+    evaluation costs O(p), and the scan's points are evaluated together in
+    blocks of at most _KERNEL_CHUNK entries.  A
     range-plus-null decomposition carries the null space's total weight,
     tr R minus the range w_i.  The search scans 64 points of log-lambda over
     [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
@@ -201,35 +202,34 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     m = float(lam.mean())
     if m <= 0.0:
         raise DegenerateSpectrumError("zero-trace matrix has no loading optimum")
-    u = decomp.eigenvectors
-    w = u * u
-    w *= diag[:, None]
-    w = w.sum(axis=0)
+    w = weighted_norms(decomp, diag)
     p = decomp.p
     if w.size < p:
         # Range-plus-null form: every null direction has eigenvalue 0, so only
         # the null weights' sum tr R - sum(w) enters; it rides on one slot.
         w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
     evaluations = 0
+    rows = max(1, _KERNEL_CHUNK // p)
 
     def snr(ts) -> list:
-        """The proxy at each log-loading t in ts.  Row i of a (len(ts), p)
-        block holds 1/(lam + e^t); each row reduces as one length-p vector,
-        and the rest is float arithmetic, so a point has the same bits in a
-        block of 64 as alone."""
+        """The proxy at each log-loading t in ts.  The points run in blocks
+        of at most `rows`; a block's row holds 1/(lam + e^t) and reduces as
+        one length-p vector, and the rest is float arithmetic, so a point
+        has the same bits in any block as alone."""
         nonlocal evaluations
         evaluations += len(ts)
-        inv = np.add.outer([math.exp(t) for t in ts], lam)
-        np.divide(1.0, inv, out=inv)
-        weighted = w * inv
-        weighted *= inv
         vals = []
-        for tri, s in zip(inv.sum(axis=1).tolist(), weighted.sum(axis=1).tolist()):
-            den = p * s
-            val = tri * tri / den if den > 0.0 else math.nan
-            if not math.isfinite(val):
-                raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
-            vals.append(val)
+        for i in range(0, len(ts), rows):
+            inv = np.add.outer([math.exp(t) for t in ts[i : i + rows]], lam)
+            np.divide(1.0, inv, out=inv)
+            weighted = w * inv
+            weighted *= inv
+            for tri, s in zip(inv.sum(axis=1).tolist(), weighted.sum(axis=1).tolist()):
+                den = p * s
+                val = tri * tri / den if den > 0.0 else math.nan
+                if not math.isfinite(val):
+                    raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
+                vals.append(val)
         return vals
 
     def g(t: float) -> float:

@@ -77,7 +77,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) 
     diag_j = 10**((41-j)*P/40) + eps_j for j = 1..40 with eps_j iid U[0,1],
     and exactly 1.0 beyond the block.  For p < 40 the spike block is
     truncated to p (with a warning); the eps draw is sized to the truncated
-    block.
+    block.  An order whose spike leaves the float range raises DomainError.
     """
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
@@ -90,7 +90,12 @@ def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) 
         )
     eps = rng.uniform(0.0, 1.0, size=k)
     j = np.arange(1, k + 1)
-    head = 10.0 ** ((SPIKE_BLOCK + 1 - j) * order / SPIKE_BLOCK) + eps
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        head = 10.0 ** ((SPIKE_BLOCK + 1 - j) * order / SPIKE_BLOCK) + eps
+    if not np.all(np.isfinite(head)):
+        raise DomainError(
+            f"covariance order {order} overflows: the spike 10**{order} leaves the float range"
+        )
     diag = np.concatenate([head, np.ones(p - k)])
     return CovarianceModel(diag, int(order), seed)
 

@@ -11,7 +11,9 @@ decomposition (`pair.decomposition`, formed by `decompose_pair`), each formed
 on first use and then kept, so every statistic read off one pair shares them.
 When p > n1 + n2 the pooled covariance has rank at most n1 + n2 - 2, and its
 range eigenpairs come from the small (n1 + n2) x (n1 + n2) Gram matrix of the
-centred data; the null space is then left implicit (range-plus-null form).
+centred data; the null space is then left implicit (range-plus-null form),
+and the range eigenvectors are kept as a product of the centred data and a
+small factor.
 """
 
 from __future__ import annotations
@@ -149,7 +151,11 @@ class SamplePair:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A square symmetric matrix with finite entries (copied as DataMatrix's are)."""
+    """A square symmetric matrix with finite entries (copied as DataMatrix's are).
+
+    `_owned=True` also says that the library has already checked the
+    entries finite (see `_covariance`).
+    """
 
     entries: np.ndarray
     _owned: InitVar[bool] = False
@@ -158,10 +164,13 @@ class SymMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {e.shape}")
-        _require_finite(e, "matrix")
-        scale = max(1.0, float(np.max(np.abs(e))))
-        if np.max(np.abs(e - e.T)) > SYMMETRY_ATOL * scale:
-            raise StructuralError("matrix is not symmetric")
+        if not _owned:  # a library-made matrix was checked finite by its maker
+            _require_finite(e, "matrix")
+        # An exactly symmetric matrix passes without the tolerance's temporaries.
+        if not np.array_equal(e, e.T):
+            scale = max(1.0, float(np.max(np.abs(e))))
+            if np.max(np.abs(e - e.T)) > SYMMETRY_ATOL * scale:
+                raise StructuralError("matrix is not symmetric")
         object.__setattr__(self, "entries", _readonly(e, _owned))
 
     @property
@@ -169,7 +178,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpectralDecomposition:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
 
@@ -178,21 +187,44 @@ class SpectralDecomposition:
     eigenvalues are then exactly 0 and belong to the orthogonal complement
     of the block, which is never formed.  Both arrays are copied as
     DataMatrix's entries are.
+
+    A Gram-side decomposition (see decompose_pair) keeps its p x r block
+    factored as C B, the p x N centred data times an N x r factor.  Reading
+    `eigenvectors` forms the block once and keeps it; this module's readers,
+    quad_form_inverse and weighted_norms, work from the factors and never
+    form it, so their results do not depend on whether it was read.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
-        vals = _readonly(self.eigenvalues, _owned)
-        vecs = _readonly(self.eigenvectors, _owned)
-        if vals.ndim != 1 or vecs.ndim != 2 or not vecs.shape[1] <= vecs.shape[0] == vals.size:
+    def __init__(self, eigenvalues, eigenvectors, _owned=False, _factors=None):
+        # _factors=(c, b), with eigenvectors None, is decompose_pair's
+        # factored block c @ b, from arrays the library has just made
+        vals = _readonly(eigenvalues, _owned)
+        if _factors is None:
+            vecs, c, b = _readonly(eigenvectors, _owned), None, None
+            if vecs.ndim != 2:
+                raise StructuralError("inconsistent decomposition shapes")
+            p, r = vecs.shape
+        else:
+            vecs, (c, b) = None, (_readonly(a, True) for a in _factors)
+            p, r = c.shape[0], b.shape[1]
+        if vals.ndim != 1 or not r <= p == vals.size:
             raise StructuralError("inconsistent decomposition shapes")
-        if np.any(vals[vecs.shape[1]:] != 0.0):
+        if np.any(vals[r:] != 0.0):
             raise StructuralError("eigenvalues without an eigenvector must be exactly 0")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "_vecs", vecs)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_b", b)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The p x p or p x r eigenvector block (a factored one is formed on
+        first read, without a lock, like SamplePair's caches)."""
+        if self._vecs is None:
+            object.__setattr__(self, "_vecs", _readonly(self._c @ self._b, True))
+        return self._vecs
 
     @property
     def p(self) -> int:
@@ -221,29 +253,41 @@ def pooled_scm(pair: SamplePair) -> SymMatrix:
     eigendecompositions see an exactly symmetric matrix.  Finite data whose
     products overflow raise DomainError.
     """
-    s = _scatter(pair.x1.entries, pair.xbar1)
-    s += _scatter(pair.x2.entries, pair.xbar2)
-    s /= pair.n
-    s += s.T
-    s *= 0.5
+    with np.errstate(over="ignore"):  # an overflow is reported by _covariance
+        s = _scatter(pair.x1.entries, pair.xbar1)
+        s += _scatter(pair.x2.entries, pair.xbar2)
+        s /= pair.n
+        s += s.T
+        s *= 0.5
     return _covariance(s)
+
+
+def _column_signs(first_row: np.ndarray, columns) -> np.ndarray:
+    """+1 or -1 per column, making each column's first nonzero coordinate positive.
+
+    `first_row` holds the columns' row-0 entries.  A column whose row-0
+    entry is nonzero takes its sign from that entry; only the others are
+    scanned, as `columns(mask)`, the full columns that the boolean mask
+    selects.  An all-zero column keeps +1.
+    """
+    signs = np.sign(first_row)
+    rest = signs == 0.0
+    if rest.any():
+        cols = columns(rest)
+        nonzero = cols != 0.0
+        first = np.argmax(nonzero, axis=0)  # index of first True per column, 0 if none
+        lead = cols[first, np.arange(first.size)]
+        signs[rest] = np.where(nonzero.any(axis=0), np.sign(lead), 1.0)
+    return signs
 
 
 def _fix_signs(vecs: np.ndarray, out=None) -> np.ndarray:
     """Flip eigenvector signs so the first nonzero coordinate of each is positive.
 
-    A column whose row-0 entry is nonzero takes its sign from that entry;
-    only the others are scanned for their first nonzero coordinate.  The
-    result goes to `out` (pass `vecs` itself to flip in place), or to a new
-    C-ordered array.
+    The result goes to `out` (pass `vecs` itself to flip in place), or to a
+    new C-ordered array.
     """
-    signs = np.sign(vecs[0])
-    rest = signs == 0.0
-    if rest.any():
-        nonzero = vecs[:, rest] != 0.0
-        first = np.argmax(nonzero, axis=0)  # index of first True per column, 0 if none
-        lead = vecs[first, np.flatnonzero(rest)]
-        signs[rest] = np.where(nonzero.any(axis=0), np.sign(lead), 1.0)
+    signs = _column_signs(vecs[0], lambda rest: vecs[:, rest])
     return np.multiply(vecs, signs, out=out, order="C")
 
 
@@ -278,24 +322,28 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     S = CC'/n, and an eigenvector w of it with eigenvalue lambda > 0 gives the
     unit eigenvector C w / sqrt(n lambda) of S.  The result is in
     range-plus-null form: length-p eigenvalues (the p - r null ones exactly
-    0) and a p x r eigenvector block.  The Gram matrix goes through the same
-    symmetry check, clip and sign convention as the p x p path, and the same
-    DomainError when its products overflow.
+    0) and a p x r eigenvector block, kept factored as C B with
+    B = W / sqrt(n lambda) (see SpectralDecomposition).  The Gram matrix goes
+    through the same symmetry check, clip and sign convention as the p x p
+    path, and the same DomainError when its products overflow.  The block's
+    sign convention is folded into B's columns, read off C's row 0 times B.
     """
     if not pair.gram_side:
         return spectral_decompose(pair.scm)
     c = np.empty((pair.p, pair.n1 + pair.n2))
     np.subtract(pair.x1.entries, pair.xbar1[:, None], out=c[:, : pair.n1])
     np.subtract(pair.x2.entries, pair.xbar2[:, None], out=c[:, pair.n1 :])
-    g = c.T @ c
+    with np.errstate(over="ignore"):  # an overflow is reported by _covariance
+        g = c.T @ c
     g /= pair.n
     gram = spectral_decompose(_covariance(g))
     del g  # the Gram matrix is not needed past its decomposition
     lam = gram.eigenvalues
     r = int(np.count_nonzero(lam > 0.0))
-    vecs = c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r]))
+    b = gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r])
+    b *= _column_signs(c[0] @ b, lambda rest: c @ b[:, rest])
     vals = np.concatenate((lam[:r], np.zeros(pair.p - r)))
-    return SpectralDecomposition(vals, _fix_signs(vecs, out=vecs), _owned=True)
+    return SpectralDecomposition(vals, None, _owned=True, _factors=(c, b))
 
 
 def quad_form_inverse(
@@ -319,7 +367,10 @@ def quad_form_inverse(
     _require_finite(v, "vector")
     if np.any(d <= 0.0):
         raise DomainError("non-positive eigenvalue: matrix is not positive definite")
-    proj = decomp.eigenvectors.T @ v
+    if decomp._b is not None:  # a factored block: U'v = B'(C'v)
+        proj = decomp._b.T @ (decomp._c.T @ v)
+    else:
+        proj = decomp.eigenvectors.T @ v
     r = proj.size
     if r == decomp.p:
         return float(np.sum(proj * proj / d))
@@ -327,6 +378,27 @@ def quad_form_inverse(
         raise StructuralError("null-space entries of d must all be equal")
     null = max(float(v @ v) - float(proj @ proj), 0.0)
     return float(np.sum(proj * proj / d[:r])) + null / d[r]
+
+
+def weighted_norms(decomp: SpectralDecomposition, diag: np.ndarray) -> np.ndarray:
+    """u_i' R u_i for each eigenvector column u_i of U, R = diag(diag).
+
+    For an explicit block this is sum_j diag_j U_ji^2.  For a factored one
+    it uses ||u_i|| = 1: 1 + sum over the rows j with diag_j != 1 of
+    (diag_j - 1) (C_j B)_i^2, so it costs O(N r) per such row, and only
+    those rows of C B are formed.
+    """
+    if decomp._b is None:
+        u = decomp.eigenvectors
+        w = u * u
+        w *= diag[:, None]
+        return w.sum(axis=0)
+    rows = np.flatnonzero(diag != 1.0)
+    cb = decomp._c[rows] @ decomp._b
+    cb *= cb
+    w = (diag[rows] - 1.0) @ cb
+    w += 1.0
+    return w
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (or with
 high-precision arithmetic) so it shares no code with the implementation under
-test.  The one exception is `dense_path_scores`, the p x p reference for the
+test.  The exceptions are `dense_path_scores`, the p x p reference for the
 Gram-side decomposition, which composes the library's public primitives on
-the dense decomposition of the pooled covariance.
+the dense decomposition of the pooled covariance, and
+`gram_side_eigenvectors`, which forms the Gram side's eigenvector block the
+way the library formerly did.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 
 from hdtest.errors import StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
-from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose
+from hdtest.spectral import _fix_signs, pooled_scm, quad_form_inverse, spectral_decompose
 
 
 def kernel_ab_mp(lam, evals, n, dps=50):
@@ -111,24 +113,46 @@ def oracle_diagnostics(decomp, dhat, pop, interval=(0.0, math.inf)):
     return OracleDiagnostics(sigma2, bias)
 
 
-def dense_path_scores(pair, pop):
+def dense_path_scores(pair, pop, lw=True):
     """lw, lappw and bs96 scores read off the dense p x p pooled covariance.
 
     Each statistic is the detector's formula on spectral_decompose(S), S the
     pair's pooled_scm; bs96 takes tr S and ||S||_F^2 from the dense matrix.
+    lw=False leaves lw out, for a spectrum its shrinkage rejects.
     """
     s = pooled_scm(pair).entries
     full = spectral_decompose(s)
     n, p, k, v = pair.n, pair.p, pair.diff_scale, pair.mean_diff
-    t2 = k * quad_form_inverse(full, shrink_eigenvalues(full, n, p), v)
     loading = optimize_loading(full, pop).lambda_star
     tr, tr2 = float(np.trace(s)), float(np.sum(s * s))
     bn = n * n / ((n + 2.0) * (n - 1.0)) * (tr2 - tr * tr / n)
-    return {
-        "lw": (t2 - p) / math.sqrt(2.0 * p),
+    scores = {
         "lappw": k * quad_form_inverse(full, full.eigenvalues + loading, v),
         "bs96": (k * float(v @ v) - tr) / math.sqrt((2.0 * (n + 1.0) / n) * bn),
     }
+    if lw:
+        t2 = k * quad_form_inverse(full, shrink_eigenvalues(full, n, p), v)
+        scores["lw"] = (t2 - p) / math.sqrt(2.0 * p)
+    return scores
+
+
+def gram_side_eigenvectors(pair):
+    """The Gram side's p x r eigenvector block as one product, _fix_signs(C @ B).
+
+    This is the library's former form of decompose_pair's block, kept as the
+    bit-for-bit reference for the factored block it now keeps: C is the
+    p x N centred data, B = W / sqrt(n lambda) comes from the Gram matrix's
+    positive eigenpairs, and the sign convention is applied to the product.
+    """
+    c = np.concatenate(
+        (pair.x1.entries - pair.xbar1[:, None], pair.x2.entries - pair.xbar2[:, None]), axis=1
+    )
+    g = c.T @ c
+    g /= pair.n
+    gram = spectral_decompose(g)
+    lam = gram.eigenvalues
+    r = int(np.count_nonzero(lam > 0.0))
+    return _fix_signs(c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r])))
 
 
 class ScalarLoading(NamedTuple):

@@ -131,7 +131,7 @@ class TestSimulateCommand:
         assert (out / "roc_lw.csv").exists()
         assert "hotelling: absent" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p,detector", [(50, "lw"), (30, "bs96")])  # Gram side, p x p
     def test_overflowing_covariance_is_an_absent_detector(
         self, tmp_path, monkeypatch, capsys, p, detector
@@ -175,6 +175,34 @@ class TestSimulateCommand:
         reason = json.loads((out / "summary.json").read_text())["absent"]["bs96"]
         assert reason.startswith("bs96 variance estimate overflows")
         assert "bs96: absent (bs96 variance estimate overflows" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "p,order,code",
+        [(30, 308, 0), (50, 308, 0), (30, 400, 3)],
+        ids=["p<=N", "gram-side", "order-past-float-range"],
+    )
+    def test_overflow_is_typed_and_unwarned(self, tmp_path, p, order, code):
+        """Data or a spike past the float range gives typed reasons, exit
+        codes 0/0/3, and no numpy warning on stderr."""
+        package_root = Path(hdtest.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package_root), HDTEST_THREADS="1")
+        out = tmp_path / "run"
+        args = [
+            "simulate", "--p", str(p), "--n1", "20", "--n2", "20", "--cov-order", str(order),
+            "--trials", "2", "--out-dir", str(out),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdtest.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        if code == 3:
+            assert f"covariance order {order} overflows" in proc.stderr
+            return
+        absent = json.loads((out / "summary.json").read_text())["absent"]
+        assert absent["cq10"].startswith("cq10 statistic overflows")
+        assert absent["lw"] == "pooled sample covariance overflows"
 
     def test_loading_search_out_of_float_range_is_an_absent_detector(
         self, tmp_path, monkeypatch, capsys
@@ -293,7 +321,7 @@ class TestNullCheckCommand:
         assert code == 2
         capsys.readouterr()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_covariance_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HDTEST_THREADS", "1")
         code = main(
@@ -525,6 +553,27 @@ class TestRuntimeDependencies:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run" / "roc_lw.csv").exists()
         assert proc.stdout.strip().splitlines()[-1] == "False"
+
+    def test_environment_block_starts_no_subprocess(self):
+        """The manifest's environment block, read in a fresh interpreter
+        (no platform cache), starts no process: platform.platform() would
+        run `uname -p`."""
+        package_root = Path(hdtest.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(package_root))
+        probe = (
+            "import sys; from hdtest import cli; started = []; "
+            "sys.addaudithook(lambda event, args: started.append(event) "
+            "if event in ('subprocess.Popen', 'os.posix_spawn', 'os.fork', 'os.exec', 'os.system') "
+            "else None); "
+            "env = cli._run_environment({}, 1); print(started); print(env['platform'])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        started, name = proc.stdout.strip().splitlines()
+        assert started == "[]"
+        assert name == platform.platform()
 
     def test_pyproject_keeps_scipy_out_of_the_runtime(self):
         tomllib = pytest.importorskip("tomllib")

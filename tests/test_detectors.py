@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hdtest.detectors import (
     mahalanobis_score,
 )
 from hdtest.errors import (
+    DegenerateSpectrumError,
     DegenerateVarianceError,
     DomainError,
     SingularCovarianceError,
@@ -322,19 +324,86 @@ class TestGramSide:
             oracle = mahalanobis_score(pair, model).score
             assert oracle == mahalanobis_score(pair, np.diag(model.diag)).score
 
+    @staticmethod
+    def close(got, want):
+        return abs(got - want) <= 1e-5 * max(1.0, abs(want))
+
+    def test_population_diagonal_without_unit_entries(self):
+        # every row of the factored block enters lappw's weights
+        p = 150
+        model, pair = model_pair(5, p, 40, 40, order=2, mu=np.full(p, 0.1))
+        pop = np.random.default_rng(5).uniform(0.5, 3.0, size=p)
+        assert np.all(pop != 1.0)
+        with blas_pinned():
+            want = dense_path_scores(pair, pop)["lappw"]
+            assert self.close(lappw_score(pair, pop).score, want)
+
+    def test_clipped_eigenvalues_leave_fewer_than_n_vectors(self):
+        # 20 columns spanning 6 directions: rank 5 after centring, n = 18
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((60, 6))
+        pair = pair_from(base[:, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]], base[:, [4, 5, 0, 1, 2, 3, 4, 5, 0, 1]])
+        r = pair.decomposition.eigenvectors.shape[1]
+        assert r < pair.n
+        assert np.all(pair.decomposition.eigenvalues[r:] == 0.0)
+        pop = np.ones(60)
+        with blas_pinned():
+            want = dense_path_scores(pair, pop, lw=False)
+            assert self.close(lappw_score(pair, pop).score, want["lappw"])
+            assert bs96_score(pair).score == pytest.approx(want["bs96"], rel=1e-12, abs=0)
+            dense = spectral_decompose(pooled_scm(pair))
+        for decomp in (pair.decomposition, dense):
+            with pytest.raises(DegenerateSpectrumError, match="retained"):
+                shrink_eigenvalues(decomp, pair.n, pair.p)
+
+    def test_constant_columns_leave_no_vectors(self):
+        pair = pair_from(np.full((30, 4), 2.5), np.full((30, 3), -1.0))
+        assert pair.decomposition.eigenvectors.shape == (30, 0)
+        with pytest.raises(DegenerateSpectrumError, match="retained"):
+            lw_score(pair)
+        with pytest.raises(DegenerateSpectrumError, match="zero-trace"):
+            lappw_score(pair, np.ones(30))
+        with pytest.raises(DegenerateVarianceError):
+            bs96_score(pair)
+
+    def test_scoring_forms_no_p_by_r_block(self):
+        """lw reads U'v and lappw diag(U'RU) off the factors, so scoring a
+        wide pair holds little beyond its p x N centred data."""
+        p, n = 20000, 20
+        model, pair = model_pair(8, p, n, n, order=2, mu=np.full(p, 0.01))
+        centred_bytes = p * 2 * n * 8
+        with blas_pinned():
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                lw_score(pair)
+                lappw_score(pair, model)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * centred_bytes, f"peak {peak} B against {centred_bytes} B of data"
+
 
 class TestOverflow:
     """Finite data whose products overflow the pooled covariance: a domain
     failure of the sample on the p x p path and on the Gram side."""
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @staticmethod
+    def wide_pair(p):
+        rng = np.random.default_rng(p)
+        return pair_from(1e155 * rng.standard_normal((p, 4)), 1e155 * rng.standard_normal((p, 4)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("detector", [bs96_score, lw_score])
     @pytest.mark.parametrize("p", [3, 12])  # n1 = n2 = 4: p x p path, Gram side
     def test_raises_domain_error(self, p, detector):
-        rng = np.random.default_rng(p)
-        pair = pair_from(1e155 * rng.standard_normal((p, 4)), 1e155 * rng.standard_normal((p, 4)))
         with pytest.raises(DomainError, match="pooled sample covariance overflows"):
-            detector(pair)
+            detector(self.wide_pair(p))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cq10_raises_domain_error(self):
+        with pytest.raises(DomainError, match="cq10 statistic overflows"):
+            cq10_score(self.wide_pair(12))
 
 
 class TestSharedDecomposition:

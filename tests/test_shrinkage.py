@@ -413,8 +413,10 @@ def loading_pair(p, order, seed):
 
 
 class TestBlockScan:
-    """optimize_loading evaluates its 64 scan points as one block; every
-    field of its result has the bits of the one-point-at-a-time search."""
+    """optimize_loading evaluates its 64 scan points in blocks; every field
+    of its result has the bits of the one-point-at-a-time search.  The
+    reference forms w from an explicit eigenvector block, so a Gram-side
+    decomposition is handed over with its block formed."""
 
     @staticmethod
     def check(decomp, pop):
@@ -430,7 +432,13 @@ class TestBlockScan:
             pair, model = loading_pair(p, order, seed)
             decomp = pair.decomposition
             assert decomp.eigenvectors.shape[1] == (p if p <= 80 else pair.n)
-            self.check(decomp, model)
+            self.check(SpectralDecomposition(decomp.eigenvalues, decomp.eigenvectors), model)
+
+    @pytest.mark.parametrize("rows", [64, 9, 1])  # 64 = 7 * 9 + 1
+    def test_scan_blocks_match_the_scalar_scan(self, monkeypatch, rows):
+        pair, model = loading_pair(60, 2, 0)
+        monkeypatch.setattr(shrinkage, "_KERNEL_CHUNK", rows * 60)
+        self.check(pair.decomposition, model)
 
     @pytest.mark.parametrize(
         "pop, edge", [(lambda ev: ev, 0), (np.ones_like, 63)], ids=["bottom", "top"]

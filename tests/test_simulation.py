@@ -96,6 +96,12 @@ class TestMakeCovariance:
         with pytest.raises(DomainError):
             make_covariance(-1, 50, rng)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_order_past_the_float_range_is_a_domain_error(self):
+        make_covariance(308, 50, np.random.default_rng(0))  # 10**308 + eps is finite
+        with pytest.raises(DomainError, match="covariance order 309 overflows"):
+            make_covariance(309, 50, np.random.default_rng(0))
+
     def test_model_object(self):
         model = CovarianceModel(np.array([2.0, 1.0]), 0)
         np.testing.assert_array_equal(model.diag, [2.0, 1.0])

@@ -19,7 +19,7 @@ from hdtest.spectral import (
     write_matrix_csv,
 )
 
-from oracles import fix_signs_by_scan
+from oracles import fix_signs_by_scan, gram_side_eigenvectors
 
 
 def random_pair(rng, p, n1, n2):
@@ -188,6 +188,10 @@ class TestSpectralDecompose:
         with pytest.raises(StructuralError):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_accepts_asymmetry_within_tolerance_unchanged(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
+        assert SymMatrix(m).entries.tobytes() == m.tobytes()
+
     def test_rejects_non_finite(self):
         with pytest.raises(StructuralError):
             SymMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
@@ -275,6 +279,29 @@ class TestDecomposePair:
         for got in (decompose_pair(pair), pair.decomposition):
             np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
             np.testing.assert_array_equal(got.eigenvectors, want.eigenvectors)
+
+    @pytest.mark.parametrize("order", [0, 4])
+    @pytest.mark.parametrize("p,n1,n2", GRAM_SHAPES)
+    def test_factored_block_is_the_formed_product(self, p, n1, n2, order):
+        pair = model_pair(p, n1, n2, order)
+        with blas_pinned():
+            want = gram_side_eigenvectors(pair)
+            decomp = decompose_pair(pair)
+            got = decomp.eigenvectors
+        np.testing.assert_array_equal(got, want)
+        assert decomp.eigenvectors is got  # formed once, then kept
+
+    def test_factored_signs_when_row_0_is_zero(self):
+        # a constant coordinate 0 centres to a zero row of C, so every
+        # column's sign comes from the scan for its first nonzero entry
+        rng = np.random.default_rng(4)
+        x1, x2 = rng.standard_normal((30, 6)), rng.standard_normal((30, 5))
+        x1[0] = x2[0] = 1.5
+        pair = SamplePair(DataMatrix(x1), DataMatrix(x2))
+        u = decompose_pair(pair).eigenvectors
+        assert np.all(u[0] == 0.0)
+        np.testing.assert_array_equal(u, gram_side_eigenvectors(pair))
+        assert np.all(u[1] > 0.0)
 
     def test_rank_deficient_data_keeps_a_zero_null_space(self):
         x = np.zeros((9, 3))
