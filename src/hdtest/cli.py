@@ -1,7 +1,8 @@
 """Command-line front end: simulate, null-check, and shrink subcommands.
 
-Exit codes: 0 success, 2 usage/validation failures, 3 mathematical
-precondition failures.  Every successful command writes a manifest capturing
+Exit codes: 0 success, 2 usage/validation failures or an unusable file path, 3
+mathematical precondition failures; the commands raise and `main` alone maps
+an error to its code.  Every successful command writes a manifest capturing
 the exact configuration, so a run can be replayed bit-for-bit.
 """
 
@@ -77,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated detector names",
     )
     sim.add_argument("--trials", type=int, default=2000, help="trials per hypothesis")
+    sim.add_argument("--radius", type=float, default=1.0, help="mean-shift sphere radius")
 
     null = sub.add_parser("null-check", help="null distribution of the shrinkage Z score")
     _add_common(null, p=200, n1=200, n2=200, cov_order=4)
@@ -95,7 +97,6 @@ def _add_common(sub, p=200, n1=150, n2=150, cov_order=0):
     sub.add_argument("--n2", type=int, default=n2, help="group 2 size")
     sub.add_argument("--cov-order", type=int, default=cov_order, help="spike order P >= 0")
     sub.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    sub.add_argument("--radius", type=float, default=1.0, help="mean-shift sphere radius")
     sub.add_argument(
         "--base-dist",
         choices=("uniform", "gaussian"),
@@ -105,12 +106,7 @@ def _add_common(sub, p=200, n1=150, n2=150, cov_order=0):
     sub.add_argument("--out-dir", required=True, help="output directory")
 
 
-def _fail(msg: str, code: int) -> int:
-    print(f"hdtest: error: {msg}", file=sys.stderr)
-    return code
-
-
-def _build_config(args, detectors) -> SimulationConfig:
+def _build_config(args, **fields) -> SimulationConfig:
     return SimulationConfig(
         p=args.p,
         n1=args.n1,
@@ -118,35 +114,22 @@ def _build_config(args, detectors) -> SimulationConfig:
         cov_order=args.cov_order,
         trials=args.trials,
         seed=args.seed,
-        radius=args.radius,
         base_dist=args.base_dist,
-        detectors=detectors,
+        **fields,
     )
 
 
 def cmd_simulate(args) -> int:
-    try:
-        names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
-        config = _build_config(args, detectors=names)
-    except StructuralError as exc:
-        return _fail(str(exc), 2)
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
+    config = _build_config(args, detectors=names, radius=args.radius)
+    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        with blas_pinned() as held:
-            table = run_trials(config)
-    except DomainError as exc:
-        return _fail(str(exc), 3)
-    environment = _run_environment(held, worker_count(config.trials, SIMULATE_HYPOTHESES))
-    outputs = []
+    with blas_pinned() as held:
+        table = run_trials(config)
 
     scores_path = os.path.join(args.out_dir, "scores.csv")
     write_scores_csv(table, scores_path)
-    outputs.append(scores_path)
-
+    outputs = [scores_path]
     curves = {}
     for kind in table.present():
         curves[kind] = roc_curve(table.h0[kind], table.h1[kind])
@@ -155,8 +138,6 @@ def cmd_simulate(args) -> int:
         outputs.append(roc_path)
 
     summary = {
-        "command": "simulate",
-        "config": config.as_dict(),
         "covariance": {
             "order": table.model.order,
             "seed": list(table.model.seed) if table.model.seed else None,
@@ -173,14 +154,8 @@ def cmd_simulate(args) -> int:
         },
         "absent": {k.value: v for k, v in table.absent.items()},
     }
-    summary_path = os.path.join(args.out_dir, "summary.json")
-    _write_json_atomic(summary_path, summary)
-    outputs.append(summary_path)
-
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "simulate", config.as_dict(), config.seed, outputs, t0, environment,
-    )
+    workers = worker_count(config.trials, SIMULATE_HYPOTHESES)
+    _write_summary_and_manifest(args, config, summary, outputs, t0, held, workers)
     for kind in curves:
         print(f"{kind.value}: auc={curves[kind].auc:.4f}")
     for kind, reason in table.absent.items():
@@ -189,32 +164,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_null_check(args) -> int:
-    try:
-        config = _build_config(args, detectors=(DetectorKind.PROPOSED_LW,))
-    except StructuralError as exc:
-        return _fail(str(exc), 2)
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        return _fail(str(exc), 2)
+    config = _build_config(args, detectors=(DetectorKind.PROPOSED_LW,))
+    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        with blas_pinned() as held:
-            z = null_z_samples(config)
-        stats = normality_check(z)  # needs >= 2 samples: trials=1 is a usage error
-    except StructuralError as exc:
-        return _fail(str(exc), 2)
-    except DomainError as exc:
-        return _fail(str(exc), 3)
-    environment = _run_environment(held, worker_count(config.trials, NULL_HYPOTHESES))
-    outputs = []
+    with blas_pinned() as held:
+        z = null_z_samples(config)
+    stats = normality_check(z)  # needs >= 2 samples: trials=1 is a usage error
 
     samples_path = os.path.join(args.out_dir, "z_samples.csv")
     with open(samples_path, "w", encoding="utf-8") as fh:
         fh.write("z\n")
         for v in z:
             fh.write(repr(float(v)) + "\n")
-    outputs.append(samples_path)
 
     counts, edges = np.histogram(z, bins=_HIST_BINS, range=_HIST_RANGE)
     width = edges[1] - edges[0]
@@ -229,23 +190,10 @@ def cmd_null_check(args) -> int:
                 f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},"
                 f"{counts[i]},{repr(float(density))},{repr(float(normal))}\n"
             )
-    outputs.append(hist_path)
 
-    summary = {
-        "command": "null-check",
-        "config": config.as_dict(),
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "ks_statistic": stats.ks_statistic,
-    }
-    summary_path = os.path.join(args.out_dir, "summary.json")
-    _write_json_atomic(summary_path, summary)
-    outputs.append(summary_path)
-
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"),
-        "null-check", config.as_dict(), config.seed, outputs, t0, environment,
-    )
+    workers = worker_count(config.trials, NULL_HYPOTHESES)
+    outputs = [samples_path, hist_path]
+    _write_summary_and_manifest(args, config, stats._asdict(), outputs, t0, held, workers)
     print(
         f"null z: mean={stats.mean:.4f} variance={stats.variance:.4f} "
         f"ks={stats.ks_statistic:.4f}"
@@ -255,23 +203,14 @@ def cmd_null_check(args) -> int:
 
 def cmd_shrink(args) -> int:
     t0 = time.perf_counter()
-    try:
-        if args.n < 1:
-            raise StructuralError(f"--n must be >= 1, got {args.n}")
-        raw = read_matrix_csv(args.matrix)
-        sym = SymMatrix(raw)
-    except (StructuralError, OSError) as exc:
-        return _fail(str(exc), 2)
-    try:
-        with blas_pinned() as held:
-            decomp = spectral_decompose(sym)
-            dhat = shrink_eigenvalues(decomp, args.n, sym.p)
-            u = decomp.eigenvectors
-            rlw = (u * dhat) @ u.T
-    except StructuralError as exc:
-        return _fail(str(exc), 2)
-    except DomainError as exc:
-        return _fail(str(exc), 3)
+    if args.n < 1:
+        raise StructuralError(f"--n must be >= 1, got {args.n}")
+    sym = SymMatrix(read_matrix_csv(args.matrix))
+    with blas_pinned() as held:
+        decomp = spectral_decompose(sym)
+        dhat = shrink_eigenvalues(decomp, args.n, sym.p)
+        u = decomp.eigenvectors
+        rlw = (u * dhat) @ u.T
 
     prefix = args.out_prefix
     dhat_path = f"{prefix}dhat.csv"
@@ -286,10 +225,8 @@ def cmd_shrink(args) -> int:
     print(f"output condition number: {cond_out:.6g}")
 
     config = {"matrix": args.matrix, "n": args.n, "out_prefix": prefix}
-    _write_manifest(
-        f"{prefix}manifest.json", "shrink", config, 0, [dhat_path, rlw_path], t0,
-        _run_environment(held, 1),
-    )
+    outputs = [dhat_path, rlw_path]
+    _write_manifest(f"{prefix}manifest.json", args.command, config, 0, outputs, t0, held, 1)
     return 0
 
 
@@ -327,7 +264,17 @@ def _run_environment(held: dict, workers: int) -> dict:
     }
 
 
-def _write_manifest(path, command, config, seed, outputs, t0, environment) -> None:
+def _write_summary_and_manifest(args, config, summary, outputs, t0, held, workers):
+    """Write summary.json, then manifest.json listing every output, into --out-dir."""
+    path = os.path.join(args.out_dir, "summary.json")
+    _write_json_atomic(path, {"command": args.command, "config": config.as_dict(), **summary})
+    _write_manifest(
+        os.path.join(args.out_dir, "manifest.json"), args.command, config.as_dict(), config.seed,
+        outputs + [path], t0, held, workers,
+    )
+
+
+def _write_manifest(path, command, config, seed, outputs, t0, held, workers) -> None:
     _write_json_atomic(path, {
         "command": command,
         "config": config,
@@ -335,7 +282,7 @@ def _write_manifest(path, command, config, seed, outputs, t0, environment) -> No
         "tool_version": __version__,
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - t0,
-        "environment": environment,
+        "environment": _run_environment(held, workers),
     })
 
 
@@ -345,13 +292,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "null-check":
-        return cmd_null_check(args)
-    if args.command == "shrink":
+    try:
+        if args.command == "simulate":
+            return cmd_simulate(args)
+        if args.command == "null-check":
+            return cmd_null_check(args)
         return cmd_shrink(args)
-    return _fail(f"unknown command {args.command!r}", 2)  # pragma: no cover
+    except (StructuralError, OSError) as exc:
+        code, error = 2, exc
+    except DomainError as exc:
+        code, error = 3, exc
+    print(f"hdtest: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -136,16 +136,16 @@ def shrink_eigenvalues(
         )
     out = np.empty(p, dtype=float)
     pos = evs > 0.0
-    if np.any(pos):
-        a, b = _kernel_sums(evs[pos], retained, n)
-        s = math.pi * (a + 1j * b) / m
-        denom = np.abs(1.0 - ratio - ratio * evs[pos] * s) ** 2
-        out[pos] = evs[pos] / denom
-    if np.any(~pos):
-        # Zero sample eigenvalues pass the retained-set check only when p > n
-        # (they sit past the retained set), so ratio > 1 here.
-        a0 = _kernel_sums(np.zeros(1), retained, n)[0][0]
-        denom0 = (ratio - 1.0) * a0 / n
+    k = np.count_nonzero(pos)
+    # Zeros pass the retained-set check only past that set, when p > n (ratio > 1);
+    # their common target needs a(0), one more point of the same kernel sums.
+    lams = np.append(evs[pos], 0.0) if k < p else evs[pos]
+    a, b = _kernel_sums(lams, retained, n)
+    s = math.pi * (a[:k] + 1j * b[:k]) / m
+    denom = np.abs(1.0 - ratio - ratio * lams[:k] * s) ** 2
+    out[pos] = lams[:k] / denom
+    if k < p:
+        denom0 = (ratio - 1.0) * a[k] / n
         if denom0 <= 0.0:
             raise DegenerateSpectrumError(
                 "zero-eigenvalue shrinkage target is non-positive"

@@ -99,11 +99,16 @@ class SamplePair:
             )
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "x2", x2)
-        xbar1 = x1.entries.mean(axis=1)
-        xbar2 = x2.entries.mean(axis=1)
+        # An overflowing mean is inf or nan, and so is mean_diff: one check covers all.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xbar1 = x1.entries.mean(axis=1)
+            xbar2 = x2.entries.mean(axis=1)
+            mean_diff = xbar1 - xbar2
+        if not np.all(np.isfinite(mean_diff)):
+            raise DomainError("group mean overflows the float range")
         object.__setattr__(self, "xbar1", xbar1)
         object.__setattr__(self, "xbar2", xbar2)
-        object.__setattr__(self, "mean_diff", xbar1 - xbar2)
+        object.__setattr__(self, "mean_diff", mean_diff)
         object.__setattr__(self, "_scm", None)
         object.__setattr__(self, "_decomposition", None)
 

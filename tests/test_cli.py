@@ -254,6 +254,14 @@ class TestSimulateCommand:
         assert main(["simulate"]) == 2
         capsys.readouterr()
 
+    def test_unwritable_scores_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "scores.csv").mkdir(parents=True)
+        assert run_simulate(out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hdtest: error:")
+        assert "scores.csv" in err
+
 
 class TestNullCheckCommand:
     def test_small_run_outputs(self, tmp_path, capsys):
@@ -346,6 +354,28 @@ class TestNullCheckCommand:
             )
         assert code == 3
         assert "aspect ratio" in capsys.readouterr().err
+
+    def test_unwritable_samples_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "null"
+        (out / "z_samples.csv").mkdir(parents=True)
+        code = main(
+            [
+                "null-check",
+                "--p", "4", "--n1", "6", "--n2", "6",
+                "--trials", "2", "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hdtest: error:")
+        assert "z_samples.csv" in err
+
+    def test_radius_is_not_a_null_check_flag(self, tmp_path, capsys):
+        """The null streams have mean zero, so a radius would change nothing."""
+        code = main(["null-check", "--radius", "2", "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "--radius" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestShrinkCommand:
@@ -467,6 +497,15 @@ class TestShrinkCommand:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_unwritable_out_prefix_exits_2(self, tmp_path, capsys):
+        path = self.write_matrix(tmp_path, np.diag([2.0, 1.0]))
+        prefix = str(tmp_path / "missing" / "x_")
+        code = main(["shrink", "--matrix", str(path), "--n", "8", "--out-prefix", prefix])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hdtest: error:")
+        assert "dhat.csv" in err
 
     def test_indefinite_matrix_exits_3(self, tmp_path, capsys):
         path = self.write_matrix(tmp_path, np.diag([1.0, -1.0]))

@@ -120,6 +120,14 @@ class TestSamplePair:
         assert pair.diff_scale == pytest.approx(35 / 12)
         np.testing.assert_allclose(pair.mean_diff, pair.xbar1 - pair.xbar2)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big1,big2", [(1e308, 0.0), (0.0, -1e308), (1e308, 1e308)])
+    def test_overflowing_group_mean_is_a_domain_error(self, big1, big2):
+        """Finite data whose column sums leave the float range: a typed error
+        naming the group mean, and no numpy warning (inf - inf included)."""
+        with pytest.raises(DomainError, match="group mean overflows"):
+            SamplePair(np.full((5, 4), big1), np.full((5, 4), big2))
+
 
 class TestPooledScm:
     def test_scalar_hand_example(self):
