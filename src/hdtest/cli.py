@@ -120,10 +120,10 @@ def _build_config(args, **fields) -> SimulationConfig:
 
 
 def cmd_simulate(args) -> int:
+    t0 = time.perf_counter()
     names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
     config = _build_config(args, detectors=names, radius=args.radius)
     os.makedirs(args.out_dir, exist_ok=True)
-    t0 = time.perf_counter()
     with blas_pinned() as held:
         table = run_trials(config)
 
@@ -164,12 +164,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_null_check(args) -> int:
-    config = _build_config(args, detectors=(DetectorKind.PROPOSED_LW,))
-    os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
+    config = _build_config(args, detectors=(DetectorKind.PROPOSED_LW,))
+    if config.trials < 2:  # the normality summary needs two Z values
+        raise StructuralError(f"--trials must be >= 2 for a null check, got {config.trials}")
+    os.makedirs(args.out_dir, exist_ok=True)
     with blas_pinned() as held:
         z = null_z_samples(config)
-    stats = normality_check(z)  # needs >= 2 samples: trials=1 is a usage error
+    stats = normality_check(z)
 
     samples_path = os.path.join(args.out_dir, "z_samples.csv")
     with open(samples_path, "w", encoding="utf-8") as fh:

@@ -37,7 +37,7 @@ from .detectors import (
 from .errors import DomainError, StructuralError
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
-from .spectral import DataMatrix, SamplePair, _readonly, pooled_scm  # noqa: F401
+from .spectral import DataMatrix, SamplePair, _readonly, _take, pooled_scm  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -121,25 +121,31 @@ def generate_sample(
     n: int,
     rng: np.random.Generator,
     base_dist: str = "uniform",
+    out: np.ndarray | None = None,
 ) -> DataMatrix:
     """Color iid mean-0 variance-1 noise by the model and shift by the mean.
 
     The default base distribution is uniform on [-sqrt(3), sqrt(3)]; the
-    gaussian variant draws standard normals instead.
+    gaussian variant draws standard normals instead, into `out` if given.
     """
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (model.p,):
         raise StructuralError(
             f"mean must have shape ({model.p},), got {mean.shape}"
         )
-    if base_dist == "uniform":
-        u = rng.uniform(-SQRT3, SQRT3, size=(model.p, n))
-    elif base_dist == "gaussian":
-        u = rng.standard_normal(size=(model.p, n))
-    else:
+    if base_dist not in _BASE_DISTS:
         raise StructuralError(f"unknown base distribution {base_dist!r}")
+    u = np.empty((model.p, n)) if out is None else out
+    if base_dist == "uniform":
+        # the bits of rng.uniform(-SQRT3, SQRT3): -SQRT3 + (2 * SQRT3) * random()
+        rng.random(out=u)
+        u *= 2.0 * SQRT3
+        u -= SQRT3
+    else:
+        rng.standard_normal(out=u)
     u *= np.sqrt(model.diag)[:, None]
-    u += mean[:, None]
+    if mean.any():  # adding an all-zero mean changes no entry
+        u += mean[:, None]
     return DataMatrix(u, _owned=True)
 
 
@@ -377,6 +383,10 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     config.detectors.  Other errors propagate.  A detector is skipped only
     after a failure at an earlier (t, h), so that first failure is found at
     any worker count, and a pair no detector still needs is not drawn.
+
+    Each worker thread forms its pairs in one workspace (see spectral._take)
+    that lives as long as the run, so a pair reuses its predecessor's
+    memory; no pair outlives its call, as a kept failure holds no traceback.
     """
     model = make_covariance(
         config.cov_order,
@@ -388,24 +398,28 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     scores = {h: {k: np.empty(config.trials) for k in config.detectors} for h in hypotheses}
     first = {}  # detector -> ((trial, hypothesis), error), the earliest failure so far
     lock = threading.Lock()
+    local = threading.local()  # .ws: the calling worker's workspace
 
     def one_pair(t: int, h: int) -> None:
         with lock:
             kinds = [k for k in config.detectors if k not in first or first[k][0] > (t, h)]
         if not kinds:
             return
+        ws = local.__dict__.setdefault("ws", {})
         rng = _trial_rng(config.seed, t, h)
         mu = sample_sphere(config.p, config.radius, rng) if h else zeros
-        x1 = generate_sample(model, mu, config.n1, rng, config.base_dist)
-        x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist)
-        pair = SamplePair(x1, x2)
+        x1 = _take(ws, "x1", (config.p, config.n1))
+        x1 = generate_sample(model, mu, config.n1, rng, config.base_dist, out=x1)
+        x2 = _take(ws, "x2", (config.p, config.n2))
+        x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist, out=x2)
+        pair = SamplePair(x1, x2, _workspace=ws)
         for kind in kinds:
             try:
                 scores[h][kind][t] = _DETECTORS[kind](pair, model).score
             except DomainError as exc:
                 with lock:
                     if kind not in first or first[kind][0] > (t, h):
-                        first[kind] = ((t, h), exc)
+                        first[kind] = ((t, h), exc.with_traceback(None))
 
     _map_pairs(one_pair, config.trials, hypotheses)
     order = sorted(first, key=lambda k: (first[k][0][0], config.detectors.index(k)))

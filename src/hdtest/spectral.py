@@ -42,6 +42,18 @@ def _readonly(a, owned=False) -> np.ndarray:
     return out
 
 
+def _take(workspace: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """A new array to fill, or, given a workspace (a dict that one engine
+    worker's pairs use in turn), a fresh view of its array `name`: freezing
+    the view leaves the workspace's array writable."""
+    if workspace is None:
+        return np.empty(shape)
+    a = workspace.get(name)
+    if a is None or a.shape != shape:
+        a = workspace[name] = np.empty(shape)
+    return a[...]
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise StructuralError(f"{what} contains non-finite entries")
@@ -85,12 +97,16 @@ class SamplePair:
     `decomposition` are formed on first use and then kept for the pair's
     lifetime.  The caches are plain attributes with no lock: two threads
     that first read one at the same time may each form it.
+
+    With the engine's `_workspace` (see _take) the pair forms its arrays in
+    it, so it must be dropped before the next pair that shares it is formed.
     """
 
     x1: DataMatrix
     x2: DataMatrix
+    _workspace: InitVar[dict | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _workspace):
         x1 = self.x1 if isinstance(self.x1, DataMatrix) else DataMatrix(self.x1)
         x2 = self.x2 if isinstance(self.x2, DataMatrix) else DataMatrix(self.x2)
         if x1.p != x2.p:
@@ -109,6 +125,7 @@ class SamplePair:
         object.__setattr__(self, "xbar1", xbar1)
         object.__setattr__(self, "xbar2", xbar2)
         object.__setattr__(self, "mean_diff", mean_diff)
+        object.__setattr__(self, "_ws", _workspace)
         object.__setattr__(self, "_scm", None)
         object.__setattr__(self, "_decomposition", None)
 
@@ -244,26 +261,29 @@ def _covariance(s: np.ndarray) -> SymMatrix:
     return SymMatrix(s, _owned=True)
 
 
-def _scatter(x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-    """(x - xbar)(x - xbar)' for one group, as a new p x p array."""
-    c = x - xbar[:, None]
-    return c @ c.T
+def _centred(pair: SamplePair) -> np.ndarray:
+    """The p x (n1 + n2) block of both groups' columns minus their group means."""
+    c = _take(pair._ws, "centred", (pair.p, pair.n1 + pair.n2))
+    np.subtract(pair.x1.entries, pair.xbar1[:, None], out=c[:, : pair.n1])
+    np.subtract(pair.x2.entries, pair.xbar2[:, None], out=c[:, pair.n1 :])
+    return c
 
 
 def pooled_scm(pair: SamplePair) -> SymMatrix:
     """Pooled sample covariance of the two groups.
 
     S = (1/n) * sum over groups of sum of (x - group mean) outer products,
-    with n = n1 + n2 - 2.  The result is explicitly symmetrized so downstream
-    eigendecompositions see an exactly symmetric matrix.  Finite data whose
+    with n = n1 + n2 - 2.  Each group's product is one C C' of its half of
+    the centred block, which numpy forms with a symmetric rank-k update
+    (syrk) and mirrors, so S is exactly symmetric.  Finite data whose
     products overflow raise DomainError.
     """
+    c = _centred(pair)
+    c1, c2 = c[:, : pair.n1], c[:, pair.n1 :]
     with np.errstate(over="ignore"):  # an overflow is reported by _covariance
-        s = _scatter(pair.x1.entries, pair.xbar1)
-        s += _scatter(pair.x2.entries, pair.xbar2)
+        s = np.matmul(c1, c1.T, out=_take(pair._ws, "scm", (pair.p, pair.p)))
+        s += np.matmul(c2, c2.T, out=_take(pair._ws, "scatter", (pair.p, pair.p)))
         s /= pair.n
-        s += s.T
-        s *= 0.5
     return _covariance(s)
 
 
@@ -335,14 +355,11 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     """
     if not pair.gram_side:
         return spectral_decompose(pair.scm)
-    c = np.empty((pair.p, pair.n1 + pair.n2))
-    np.subtract(pair.x1.entries, pair.xbar1[:, None], out=c[:, : pair.n1])
-    np.subtract(pair.x2.entries, pair.xbar2[:, None], out=c[:, pair.n1 :])
+    c = _centred(pair)
     with np.errstate(over="ignore"):  # an overflow is reported by _covariance
-        g = c.T @ c
+        g = np.matmul(c.T, c, out=_take(pair._ws, "gram", (c.shape[1],) * 2))
     g /= pair.n
     gram = spectral_decompose(_covariance(g))
-    del g  # the Gram matrix is not needed past its decomposition
     lam = gram.eigenvalues
     r = int(np.count_nonzero(lam > 0.0))
     b = gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r])

@@ -319,6 +319,7 @@ class TestNullCheckCommand:
         capsys.readouterr()
 
     def test_single_trial_exits_2(self, tmp_path, capsys):
+        # rejected before any trial runs or the out-dir is made
         code = main(
             [
                 "null-check",
@@ -327,7 +328,8 @@ class TestNullCheckCommand:
             ]
         )
         assert code == 2
-        capsys.readouterr()
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_covariance_exits_3(self, tmp_path, monkeypatch, capsys):

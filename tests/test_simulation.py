@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import os
@@ -41,6 +42,8 @@ from hdtest.simulation import (
 from oracles import auc_brute, roc_points_unique
 
 SMALL = dict(p=8, n1=10, n2=12, trials=3, seed=5)
+# (shape, detectors it drops): SMALL's (p <= n1 + n2), then a Gram-side one
+SHAPES = (({}, ()), (dict(p=40, n1=9, n2=8), (DetectorKind.HOTELLING,)))
 
 
 class TestMakeCovariance:
@@ -167,6 +170,26 @@ class TestGenerateSample:
         with pytest.raises(StructuralError):
             generate_sample(model, np.zeros(3), 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shift", [0.0, 0.75])
+    @pytest.mark.parametrize("base", ["uniform", "gaussian"])
+    def test_draw_into_out_has_the_sized_draws_bits(self, base, shift):
+        # the reference is the sized numpy call, colored and shifted
+        model = CovarianceModel(np.linspace(0.5, 30.0, 7), 0)
+        mean = shift * np.arange(-3.0, 4.0)
+        rng = np.random.default_rng(9)
+        if base == "uniform":
+            u = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(7, 13))
+        else:
+            u = rng.standard_normal(size=(7, 13))
+        want = u * np.sqrt(model.diag)[:, None] + mean[:, None]
+        buf = np.full((7, 13), np.nan)
+        got = generate_sample(model, mean, 13, np.random.default_rng(9), base, out=buf[...])
+        fresh = generate_sample(model, mean, 13, np.random.default_rng(9), base)
+        np.testing.assert_array_equal(got.entries, want)
+        np.testing.assert_array_equal(fresh.entries, want)
+        np.testing.assert_array_equal(buf, want)
+        assert buf.flags.writeable  # the frozen view leaves the buffer writable
+
 
 class TestSeedDerivation:
     def test_contracts_are_frozen(self):
@@ -235,13 +258,16 @@ class TestRunTrials:
             assert np.all(np.isfinite(table.h1[kind]))
 
     def test_rerun_is_bit_identical(self):
-        cfg = SimulationConfig(**SMALL)
-        a = run_trials(cfg)
-        b = run_trials(cfg)
-        for kind in cfg.detectors:
-            np.testing.assert_array_equal(a.h0[kind], b.h0[kind])
-            np.testing.assert_array_equal(a.h1[kind], b.h1[kind])
-        np.testing.assert_array_equal(a.model.diag, b.model.diag)
+        # each run forms its pairs in its own workspaces: none carries over
+        for shape, dropped in SHAPES:
+            cfg = SimulationConfig(**{**SMALL, **shape})
+            a = run_trials(cfg)
+            b = run_trials(cfg)
+            assert tuple(a.absent) == tuple(b.absent) == dropped
+            for kind in a.present():
+                np.testing.assert_array_equal(a.h0[kind], b.h0[kind])
+                np.testing.assert_array_equal(a.h1[kind], b.h1[kind])
+            np.testing.assert_array_equal(a.model.diag, b.model.diag)
 
     def test_hotelling_dropped_when_p_exceeds_n(self, monkeypatch):
         cfg = SimulationConfig(p=24, n1=6, n2=6, trials=2, seed=1)
@@ -265,14 +291,30 @@ class TestRunTrials:
         assert table.present() == ()
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = SimulationConfig(**SMALL)
-        monkeypatch.setenv("HDTEST_THREADS", "1")
-        serial = run_trials(cfg)
-        monkeypatch.setenv("HDTEST_THREADS", "4")
-        threaded = run_trials(cfg)
-        for kind in cfg.detectors:
-            np.testing.assert_array_equal(serial.h0[kind], threaded.h0[kind])
-            np.testing.assert_array_equal(serial.h1[kind], threaded.h1[kind])
+        for shape, dropped in SHAPES:
+            cfg = SimulationConfig(**{**SMALL, **shape})
+            monkeypatch.setenv("HDTEST_THREADS", "1")
+            serial = run_trials(cfg)
+            monkeypatch.setenv("HDTEST_THREADS", "4")
+            threaded = run_trials(cfg)
+            assert tuple(serial.absent) == tuple(threaded.absent) == dropped
+            for kind in serial.present():
+                np.testing.assert_array_equal(serial.h0[kind], threaded.h0[kind])
+                np.testing.assert_array_equal(serial.h1[kind], threaded.h1[kind])
+
+    def test_a_kept_failure_holds_no_pair(self):
+        # p = n: every trial's shrinkage fails, and the error null_z_samples
+        # raises must not keep a pair (and its buffers) alive
+        def pairs():
+            gc.collect()
+            return sum(isinstance(o, spectral.SamplePair) for o in gc.get_objects())
+
+        before = pairs()
+        cfg = SimulationConfig(p=10, n1=6, n2=6, trials=2, seed=1, detectors=("lw",))
+        with pytest.raises(DomainError) as info:
+            null_z_samples(cfg)
+        assert pairs() == before
+        del info
 
     def test_h1_scores_shift_upward(self):
         cfg = SimulationConfig(

@@ -147,6 +147,15 @@ class TestPooledScm:
         decomp = spectral_decompose(pooled_scm(random_pair(rng, p, n1, n2)))
         assert np.all(decomp.eigenvalues >= 0.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p,n1,n2", [(3, 2, 2), (17, 9, 6), (61, 31, 29), (45, 7, 13)])
+    def test_exactly_symmetric(self, p, n1, n2, order):
+        rng = np.random.default_rng(p + n1)
+        x1 = np.asarray(rng.standard_normal((p, n1)) * 3.0 + 1.0, order=order)
+        x2 = np.asarray(rng.standard_normal((p, n2)) - 2.0, order=order)
+        s = pooled_scm(SamplePair(DataMatrix(x1), DataMatrix(x2))).entries
+        np.testing.assert_array_equal(s, s.T)
+
     def test_rank_deficiency_when_p_exceeds_n(self):
         # p > n: at least p - n eigenvalues are zero within 1e-8 * largest, and
         # the clip makes them exactly zero so branch selection is unambiguous
@@ -310,6 +319,17 @@ class TestDecomposePair:
         assert np.all(u[0] == 0.0)
         np.testing.assert_array_equal(u, gram_side_eigenvectors(pair))
         assert np.all(u[1] > 0.0)
+
+    @pytest.mark.parametrize("p,n1,n2", [(30, 20, 20), (150, 40, 40)])
+    def test_a_second_pair_leaves_the_first_decomposition_alone(self, p, n1, n2):
+        want = decompose_pair(model_pair(p, n1, n2, 2, seed=1))
+        want_vecs = want.eigenvectors  # formed before any other pair
+        first = decompose_pair(model_pair(p, n1, n2, 2, seed=1))
+        second = decompose_pair(model_pair(p, n1, n2, 2, seed=2))
+        assert not np.array_equal(second.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(first.eigenvalues, want.eigenvalues)
+        # a Gram-side block is formed here, from factors kept since `first`
+        np.testing.assert_array_equal(first.eigenvectors, want_vecs)
 
     def test_rank_deficient_data_keeps_a_zero_null_space(self):
         x = np.zeros((9, 3))
