@@ -29,6 +29,7 @@ from .simulation import (
     SimulationConfig,
     blas_pinned,
     blas_threads,
+    model_seed,
     normality_check,
     null_z_samples,
     roc_curve,
@@ -39,6 +40,7 @@ from .simulation import (
 )
 from .spectral import (
     SymMatrix,
+    _write_csv,
     read_matrix_csv,
     spectral_decompose,
     write_matrix_csv,
@@ -123,9 +125,9 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
     config = _build_config(args, detectors=names, radius=args.radius)
-    os.makedirs(args.out_dir, exist_ok=True)
     with blas_pinned() as held:
         table = run_trials(config)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     scores_path = os.path.join(args.out_dir, "scores.csv")
     write_scores_csv(table, scores_path)
@@ -140,7 +142,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "covariance": {
             "order": table.model.order,
-            "seed": list(table.model.seed) if table.model.seed else None,
+            "seed": model_seed(config.seed),
             "diag": [float(x) for x in table.model.diag],
         },
         "detectors": {
@@ -168,30 +170,23 @@ def cmd_null_check(args) -> int:
     config = _build_config(args, detectors=(DetectorKind.PROPOSED_LW,))
     if config.trials < 2:  # the normality summary needs two Z values
         raise StructuralError(f"--trials must be >= 2 for a null check, got {config.trials}")
-    os.makedirs(args.out_dir, exist_ok=True)
     with blas_pinned() as held:
         z = null_z_samples(config)
     stats = normality_check(z)
+    os.makedirs(args.out_dir, exist_ok=True)
 
     samples_path = os.path.join(args.out_dir, "z_samples.csv")
-    with open(samples_path, "w", encoding="utf-8") as fh:
-        fh.write("z\n")
-        for v in z:
-            fh.write(repr(float(v)) + "\n")
+    _write_csv(samples_path, "z", z[:, None])
 
     counts, edges = np.histogram(z, bins=_HIST_BINS, range=_HIST_RANGE)
-    width = edges[1] - edges[0]
+    scale = z.size * (edges[1] - edges[0])
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    rows = (
+        (lo, hi, str(k), k / scale, math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi))
+        for lo, hi, k, c in zip(edges[:-1], edges[1:], counts, centres)
+    )
     hist_path = os.path.join(args.out_dir, "z_hist.csv")
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,count,density,normal_density\n")
-        for i in range(_HIST_BINS):
-            center = 0.5 * (edges[i] + edges[i + 1])
-            density = counts[i] / (z.size * width)
-            normal = math.exp(-0.5 * center * center) / math.sqrt(2.0 * math.pi)
-            fh.write(
-                f"{repr(float(edges[i]))},{repr(float(edges[i + 1]))},"
-                f"{counts[i]},{repr(float(density))},{repr(float(normal))}\n"
-            )
+    _write_csv(hist_path, "bin_lo,bin_hi,count,density,normal_density", rows)
 
     workers = worker_count(config.trials, NULL_HYPOTHESES)
     outputs = [samples_path, hist_path]

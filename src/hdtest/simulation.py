@@ -20,7 +20,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from .detectors import (
 from .errors import DomainError, StructuralError
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
-from .spectral import DataMatrix, SamplePair, _readonly, _take, pooled_scm  # noqa: F401
+from .spectral import DataMatrix, SamplePair, _readonly, _take, _write_csv, pooled_scm  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -56,7 +56,6 @@ class CovarianceModel:
 
     diag: np.ndarray
     order: int
-    seed: object = None
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
@@ -71,7 +70,7 @@ class CovarianceModel:
         return self.diag.size
 
 
-def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) -> CovarianceModel:
+def make_covariance(order: int, p: int, rng: np.random.Generator) -> CovarianceModel:
     """Build the order-P diagonal model.
 
     diag_j = 10**((41-j)*P/40) + eps_j for j = 1..40 with eps_j iid U[0,1],
@@ -97,7 +96,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator, *, seed=None) 
             f"covariance order {order} overflows: the spike 10**{order} leaves the float range"
         )
     diag = np.concatenate([head, np.ones(p - k)])
-    return CovarianceModel(diag, int(order), seed)
+    return CovarianceModel(diag, int(order))
 
 
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -189,17 +188,7 @@ class SimulationConfig:
         object.__setattr__(self, "detectors", kinds)
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n1": self.n1,
-            "n2": self.n2,
-            "cov_order": self.cov_order,
-            "trials": self.trials,
-            "seed": self.seed,
-            "radius": self.radius,
-            "detectors": [k.value for k in self.detectors],
-            "base_dist": self.base_dist,
-        }
+        return {**asdict(self), "detectors": [k.value for k in self.detectors]}
 
 
 def trial_seed(seed: int, trial: int, hypothesis: int) -> list:
@@ -388,12 +377,8 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     that lives as long as the run, so a pair reuses its predecessor's
     memory; no pair outlives its call, as a kept failure holds no traceback.
     """
-    model = make_covariance(
-        config.cov_order,
-        config.p,
-        np.random.default_rng(np.random.SeedSequence(model_seed(config.seed))),
-        seed=tuple(model_seed(config.seed)),
-    )
+    model_rng = np.random.default_rng(np.random.SeedSequence(model_seed(config.seed)))
+    model = make_covariance(config.cov_order, config.p, model_rng)
     zeros = np.zeros(config.p)
     scores = {h: {k: np.empty(config.trials) for k in config.detectors} for h in hypotheses}
     first = {}  # detector -> ((trial, hypothesis), error), the earliest failure so far
@@ -467,10 +452,10 @@ def _trapezoid(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def roc_curve(h0_scores: np.ndarray, h1_scores: np.ndarray) -> RocCurve:
-    """Sweep thresholds over the union of scores; point = fraction strictly above.
+    """Sweep thresholds down the distinct pooled scores; point = fraction at or above.
 
-    Tied scores collapse to a single threshold step, and the endpoints (0,0)
-    and (1,1) are always present.
+    After a leading (0,0), each distinct threshold moves at least one
+    coordinate, so tied scores make one step, and the lowest one gives (1,1).
     """
     h0 = np.asarray(h0_scores, dtype=float)
     h1 = np.asarray(h1_scores, dtype=float)
@@ -478,19 +463,10 @@ def roc_curve(h0_scores: np.ndarray, h1_scores: np.ndarray) -> RocCurve:
         raise StructuralError("both score samples must be nonempty")
     if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
         raise StructuralError("scores must be finite")
-    pooled = np.sort(np.concatenate([h0, h1]))
-    distinct = np.ones(pooled.size, dtype=bool)
-    distinct[1:] = pooled[1:] != pooled[:-1]
-    thresholds = pooled[distinct][::-1]
-    h0s = np.sort(h0)
-    h1s = np.sort(h1)
-    fpr = (h0.size - np.searchsorted(h0s, thresholds, side="right")) / h0.size
-    tpr = (h1.size - np.searchsorted(h1s, thresholds, side="right")) / h1.size
-    fpr = np.concatenate([[0.0], fpr, [1.0]])
-    tpr = np.concatenate([[0.0], tpr, [1.0]])
-    keep = np.ones(fpr.size, dtype=bool)
-    keep[1:] = (np.diff(fpr) != 0.0) | (np.diff(tpr) != 0.0)
-    fpr, tpr = fpr[keep], tpr[keep]
+    pooled = np.sort(np.concatenate([h0, h1]))  # np.unique would import numpy.ma
+    thresholds = pooled[np.append(pooled[1:] != pooled[:-1], True)][::-1]
+    fpr = np.concatenate([[0.0], (h0.size - np.searchsorted(np.sort(h0), thresholds)) / h0.size])
+    tpr = np.concatenate([[0.0], (h1.size - np.searchsorted(np.sort(h1), thresholds)) / h1.size])
     return RocCurve(fpr, tpr, _trapezoid(fpr, tpr))
 
 
@@ -537,19 +513,17 @@ def null_z_samples(config: SimulationConfig) -> np.ndarray:
 
 def write_scores_csv(table: ScoreTable, path) -> None:
     """Write (trial, hypothesis, detector, score) rows at full precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trial,hypothesis,detector,score\n")
-        for t in range(table.config.trials):
-            for tag, scores in (("h0", table.h0), ("h1", table.h1)):
-                for kind in table.config.detectors:
-                    if kind in scores:
-                        fh.write(
-                            f"{t},{tag},{kind.value},{repr(float(scores[kind][t]))}\n"
-                        )
+    columns = [
+        (tag, kind.value, scores[kind].tolist())
+        for tag, scores in (("h0", table.h0), ("h1", table.h1))
+        for kind in table.config.detectors
+        if kind in scores
+    ]
+    trials = range(table.config.trials)
+    rows = ((str(t), tag, name, s[t]) for t in trials for tag, name, s in columns)
+    _write_csv(path, "trial,hypothesis,detector,score", rows)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("fpr,tpr\n")
-        for x, y in zip(curve.fpr, curve.tpr):
-            fh.write(f"{repr(float(x))},{repr(float(y))}\n")
+    """Write the curve's (fpr, tpr) points at full precision."""
+    _write_csv(path, "fpr,tpr", zip(curve.fpr, curve.tpr))

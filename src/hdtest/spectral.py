@@ -18,6 +18,7 @@ small factor.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -280,7 +281,8 @@ def pooled_scm(pair: SamplePair) -> SymMatrix:
     """
     c = _centred(pair)
     c1, c2 = c[:, : pair.n1], c[:, pair.n1 :]
-    with np.errstate(over="ignore"):  # an overflow is reported by _covariance
+    # an overflow, or two opposite infinities summed, is reported by _covariance
+    with np.errstate(over="ignore", invalid="ignore"):
         s = np.matmul(c1, c1.T, out=_take(pair._ws, "scm", (pair.p, pair.p)))
         s += np.matmul(c2, c2.T, out=_take(pair._ws, "scatter", (pair.p, pair.p)))
         s /= pair.n
@@ -424,37 +426,37 @@ def weighted_norms(decomp: SpectralDecomposition, diag: np.ndarray) -> np.ndarra
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix from CSV: one row per line, plain decimal, no header."""
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise StructuralError(
-                    f"{path}: ragged row at line {lineno} "
-                    f"({len(cells)} cells, expected {width})"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise StructuralError(f"{path}: non-numeric cell at line {lineno}") from exc
-    if not rows:
+    """Read a matrix from CSV: one row per line, plain decimal, no header.
+
+    numpy's parser reads it; a malformed file is a StructuralError naming
+    the path and numpy's reason, a missing one an OSError.
+    """
+    try:
+        with warnings.catch_warnings():  # an empty file is reported below instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            out = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise StructuralError(f"{path}: {exc}") from exc
+    if out.size == 0:
         raise StructuralError(f"{path}: empty matrix file")
-    out = np.array(rows, dtype=float)
     _require_finite(out, f"{path}")
     return out
 
 
+def _write_csv(path, header: str | None, rows) -> None:
+    """Write rows of cells as CSV, after the header line if one is given.
+
+    A str cell is written as it is; any other is written as
+    repr(float(cell)), the shortest decimal that reads back to the same
+    double.  The program's numeric CSV files all go through here.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([c if isinstance(c, str) else repr(float(c)) for c in row]) + "\n")
+
+
 def write_matrix_csv(path, m: np.ndarray) -> None:
     """Write a matrix as CSV with full round-trip precision (shortest repr)."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in m:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
+    _write_csv(path, None, np.atleast_2d(np.asarray(m, dtype=float)).tolist())

@@ -199,6 +199,7 @@ class TestSimulateCommand:
         assert "RuntimeWarning" not in proc.stderr
         if code == 3:
             assert f"covariance order {order} overflows" in proc.stderr
+            assert not out.exists()  # a run that fails makes no out-dir
             return
         absent = json.loads((out / "summary.json").read_text())["absent"]
         assert absent["cq10"].startswith("cq10 statistic overflows")
@@ -356,6 +357,7 @@ class TestNullCheckCommand:
             )
         assert code == 3
         assert "aspect ratio" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()  # a run that fails makes no out-dir
 
     def test_unwritable_samples_exits_2(self, tmp_path, capsys):
         out = tmp_path / "null"

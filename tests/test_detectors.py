@@ -401,6 +401,16 @@ class TestOverflow:
             detector(self.wide_pair(p))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("detector", [bs96_score, lw_score])
+    def test_opposite_infinities_raise_domain_error(self, detector):
+        """Entry (0, 1) of group 1's scatter overflows to +inf and group 2's to
+        -inf, so their sum is nan: still the typed error, and no warning."""
+        rows = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [0.5, 0.2, 0.1, 0.3]])
+        flipped = rows * np.array([[1.0], [-1.0], [1.0]])
+        with pytest.raises(DomainError, match="pooled sample covariance overflows"):
+            detector(pair_from(1.3e154 * rows, 1.3e154 * flipped))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cq10_raises_domain_error(self):
         with pytest.raises(DomainError, match="cq10 statistic overflows"):
             cq10_score(self.wide_pair(12))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,20 +419,24 @@ class TestMatrixCsv:
         back = read_matrix_csv(path)
         np.testing.assert_array_equal(back, m)
 
+    @staticmethod
+    def assert_rejected(path, text, match):
+        """A malformed file is a StructuralError naming the path, with no warning."""
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructuralError, match=match) as info:
+                read_matrix_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_rejects_ragged(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(StructuralError):
-            read_matrix_csv(path)
+        self.assert_rejected(tmp_path / "ragged.csv", "1.0,2.0\n3.0\n", "columns changed")
 
     def test_rejects_non_numeric(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,x\n")
-        with pytest.raises(StructuralError):
-            read_matrix_csv(path)
+        # float() reads "1_0" as 10.0; a trailing comma is an empty cell; no comment lines
+        for i, text in enumerate(["1.0,x\n", "1_0\n", "1.0,2.0,\n", "# c\n1.0\n", " \n"]):
+            self.assert_rejected(tmp_path / f"bad{i}.csv", text, "could not convert")
 
     def test_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(StructuralError):
-            read_matrix_csv(path)
+        for i, text in enumerate(["", "\n\n\n"]):
+            self.assert_rejected(tmp_path / f"empty{i}.csv", text, "empty matrix file")
