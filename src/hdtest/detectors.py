@@ -29,7 +29,7 @@ from .errors import (
     SingularCovarianceError,
     StructuralError,
 )
-from .shrinkage import optimize_loading, shrink_eigenvalues
+from .shrinkage import _pop_diag, optimize_loading, shrink_eigenvalues
 # Detectors read pair.scm; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
 from .spectral import SamplePair, pooled_scm, quad_form_inverse  # noqa: F401
@@ -72,22 +72,9 @@ class ScoreResult:
 
 
 def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
-    """Clairvoyant detector using the true population covariance.
-
-    A diagonal model (an object with a `diag` vector, such as the
-    simulation's CovarianceModel) is inverted in O(p) as ||diff / sqrt(diag)||^2,
-    which has the same bits as the Cholesky path on its dense matrix.
-    """
-    diag = getattr(pop_cov, "diag", None)
-    if diag is not None:
-        y = pair.mean_diff / np.sqrt(diag)
-    else:
-        m = np.asarray(getattr(pop_cov, "entries", pop_cov), dtype=float)
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError("covariance is not positive definite") from exc
-        y = np.linalg.solve(chol, pair.mean_diff)
+    """Clairvoyant detector: ||diff / sqrt(diag)||^2 in O(p) for the true
+    diagonal population covariance, a model with a `diag` vector or that vector."""
+    y = pair.mean_diff / np.sqrt(_pop_diag(pop_cov, pair.p))
     return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
 
 

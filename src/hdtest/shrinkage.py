@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     DomainError,
+    SingularCovarianceError,
     StructuralError,
     UnsupportedAspectRatioError,
 )
@@ -156,14 +157,20 @@ def shrink_eigenvalues(
     return out
 
 
-def _pop_diag(pop) -> np.ndarray:
-    """Accept a diagonal population covariance as a model object or a vector."""
-    diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
-    if diag.ndim != 1:
-        raise StructuralError("population covariance diagonal must be a vector")
+def _pop_diag(pop, p: int) -> np.ndarray:
+    """The one reader of a population covariance: its `diag` vector (as on a
+    CovarianceModel) or that vector, checked to have length p and finite
+    entries (else StructuralError) that are positive (else
+    SingularCovarianceError)."""
+    try:
+        diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"population diagonal is not a vector: {exc}") from exc
+    if diag.shape != (p,):
+        raise StructuralError(f"population diagonal must have shape ({p},), got {diag.shape}")
     _require_finite(diag, "population diagonal")
     if np.any(diag <= 0.0):
-        raise DomainError("population covariance diagonal must be positive")
+        raise SingularCovarianceError("population diagonal must be positive")
     return diag
 
 
@@ -195,10 +202,8 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
     interval by golden section to absolute log-tolerance 1e-6.
     """
-    diag = _pop_diag(pop)
+    diag = _pop_diag(pop, decomp.p)
     lam = decomp.eigenvalues
-    if diag.size != decomp.p:
-        raise StructuralError("population dimension mismatch")
     m = float(lam.mean())
     if m <= 0.0:
         raise DegenerateSpectrumError("zero-trace matrix has no loading optimum")

@@ -35,6 +35,7 @@ from .detectors import (
     mahalanobis_score,
 )
 from .errors import DomainError, StructuralError
+from .shrinkage import _pop_diag
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
 from .spectral import DataMatrix, SamplePair, _readonly, _take, _write_csv, pooled_scm  # noqa: F401
@@ -58,12 +59,10 @@ class CovarianceModel:
     order: int
 
     def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        if d.ndim != 1 or d.size == 0:
+        size = np.size(self.diag)
+        if size == 0:
             raise StructuralError("covariance diagonal must be a nonempty vector")
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise DomainError("covariance diagonal must be finite and positive")
-        object.__setattr__(self, "diag", _readonly(d))
+        object.__setattr__(self, "diag", _readonly(_pop_diag(self.diag, size)))
 
     @property
     def p(self) -> int:
@@ -430,7 +429,7 @@ class RocCurve:
 
     fpr: np.ndarray
     tpr: np.ndarray
-    auc: float
+    auc: float = field(init=False)
 
     def __post_init__(self):
         fpr = _readonly(self.fpr)
@@ -441,10 +440,9 @@ class RocCurve:
             raise StructuralError("ROC points must be monotone non-decreasing")
         if not (fpr[0] == 0.0 and tpr[0] == 0.0 and fpr[-1] == 1.0 and tpr[-1] == 1.0):
             raise StructuralError("ROC must run from (0,0) to (1,1)")
-        if abs(self.auc - _trapezoid(fpr, tpr)) > 1e-12:
-            raise StructuralError("stored AUC disagrees with the trapezoid rule")
         object.__setattr__(self, "fpr", fpr)
         object.__setattr__(self, "tpr", tpr)
+        object.__setattr__(self, "auc", _trapezoid(fpr, tpr))
 
 
 def _trapezoid(x: np.ndarray, y: np.ndarray) -> float:
@@ -467,7 +465,7 @@ def roc_curve(h0_scores: np.ndarray, h1_scores: np.ndarray) -> RocCurve:
     thresholds = pooled[np.append(pooled[1:] != pooled[:-1], True)][::-1]
     fpr = np.concatenate([[0.0], (h0.size - np.searchsorted(np.sort(h0), thresholds)) / h0.size])
     tpr = np.concatenate([[0.0], (h1.size - np.searchsorted(np.sort(h1), thresholds)) / h1.size])
-    return RocCurve(fpr, tpr, _trapezoid(fpr, tpr))
+    return RocCurve(fpr, tpr)
 
 
 class NormalitySummary(NamedTuple):

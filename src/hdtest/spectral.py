@@ -308,14 +308,13 @@ def _column_signs(first_row: np.ndarray, columns) -> np.ndarray:
     return signs
 
 
-def _fix_signs(vecs: np.ndarray, out=None) -> np.ndarray:
+def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip eigenvector signs so the first nonzero coordinate of each is positive.
 
-    The result goes to `out` (pass `vecs` itself to flip in place), or to a
-    new C-ordered array.
+    The result is a new C-ordered array.
     """
     signs = _column_signs(vecs[0], lambda rest: vecs[:, rest])
-    return np.multiply(vecs, signs, out=out, order="C")
+    return np.multiply(vecs, signs, order="C")
 
 
 def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
@@ -429,14 +428,15 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix from CSV: one row per line, plain decimal, no header.
 
     numpy's parser reads it; a malformed file is a StructuralError naming
-    the path and numpy's reason, a missing one an OSError.
+    the path and numpy's reason (without its advice on loadtxt's options,
+    which the caller cannot pass), a missing one an OSError.
     """
     try:
         with warnings.catch_warnings():  # an empty file is reported below instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             out = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise StructuralError(f"{path}: {exc}") from exc
+        raise StructuralError(f"{path}: {str(exc).split('; use', 1)[0]}") from exc
     if out.size == 0:
         raise StructuralError(f"{path}: empty matrix file")
     _require_finite(out, f"{path}")

@@ -113,6 +113,16 @@ def oracle_diagnostics(decomp, dhat, pop, interval=(0.0, math.inf)):
     return OracleDiagnostics(sigma2, bias)
 
 
+def mahalanobis_cholesky(diff, cov):
+    """diff' R^{-1} diff through a Cholesky factor of the dense R and a solve.
+
+    This is the library's former dense path of mahalanobis_score, kept as the
+    bit-for-bit reference for its diagonal form ||diff / sqrt(diag R)||^2.
+    """
+    y = np.linalg.solve(np.linalg.cholesky(cov), diff)
+    return float(y @ y)
+
+
 def dense_path_scores(pair, pop, lw=True):
     """lw, lappw and bs96 scores read off the dense p x p pooled covariance.
 

@@ -24,16 +24,23 @@ from hdtest.errors import (
     SingularCovarianceError,
     StructuralError,
 )
-from hdtest.simulation import blas_pinned, generate_sample, make_covariance, sample_sphere
+from hdtest.simulation import (
+    CovarianceModel,
+    blas_pinned,
+    generate_sample,
+    make_covariance,
+    sample_sphere,
+)
 from hdtest.shrinkage import shrink_eigenvalues
 from hdtest.spectral import (
     DataMatrix,
     SamplePair,
+    SymMatrix,
     pooled_scm,
     spectral_decompose,
 )
 
-from oracles import cq10_double_loop, dense_path_scores
+from oracles import cq10_double_loop, dense_path_scores, mahalanobis_cholesky
 
 
 def pair_from(x1, x2) -> SamplePair:
@@ -70,19 +77,47 @@ class TestDetectorKind:
 class TestMahalanobis:
     def test_identity_covariance_is_squared_norm(self):
         pair = pair_from([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
-        res = mahalanobis_score(pair, np.eye(2))
+        res = mahalanobis_score(pair, np.ones(2))
         assert res.kind is DetectorKind.MAHALANOBIS_ORACLE
         assert res.score == pytest.approx(1.0)
 
     def test_diagonal_covariance_weights_coordinates(self):
         pair = pair_from([[2.0, 2.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
         # diff = (2, 1); R = diag(4, 1) -> 4/4 + 1/1 = 2
-        assert mahalanobis_score(pair, np.diag([4.0, 1.0])).score == pytest.approx(2.0)
+        assert mahalanobis_score(pair, np.array([4.0, 1.0])).score == pytest.approx(2.0)
 
     def test_rejects_singular_population(self):
         pair = pair_from([[1.0, 1.0]], [[0.0, 0.0]])
         with pytest.raises(SingularCovarianceError):
-            mahalanobis_score(pair, np.zeros((1, 1)))
+            mahalanobis_score(pair, np.zeros(1))
+
+
+class TestPopulationReader:
+    """Both clairvoyant detectors read the true covariance through one reader:
+    a length-p vector of finite positive entries, or a model holding one."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("score", [mahalanobis_score, lappw_score])
+    @pytest.mark.parametrize(
+        "pop,error",
+        [
+            (np.arange(1.0, 6.0), None),
+            (np.ones(4), StructuralError),
+            (np.eye(5), StructuralError),
+            (SymMatrix(np.eye(5)), StructuralError),
+            (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), StructuralError),
+            (np.array([1.0, 0.0, 1.0, 1.0, 1.0]), SingularCovarianceError),
+            (np.array([1.0, -2.0, 1.0, 1.0, 1.0]), SingularCovarianceError),
+        ],
+        ids=["vector", "wrong-length", "2-d", "symmatrix", "nan", "zero", "negative"],
+    )
+    def test_population_diagonal(self, score, pop, error):
+        pair = random_pair(np.random.default_rng(3), 5, 8, 7)
+        if error is None:
+            assert score(pair, pop).score == score(pair, CovarianceModel(pop, 0)).score
+        else:
+            with pytest.raises(error):
+                score(pair, pop)
 
 
 class TestHotelling:
@@ -292,8 +327,8 @@ class TestPermutationEquivariance:
         perm = rng.permutation(p)
         pair = pair_from(x1, x2)
         ppair = pair_from(x1[perm], x2[perm])
-        r = np.diag(rng.uniform(0.5, 2.0, size=p))
-        rp = np.diag(np.diag(r)[perm])
+        r = rng.uniform(0.5, 2.0, size=p)
+        rp = r[perm]
         assert cq10_score(ppair).score == pytest.approx(cq10_score(pair).score, rel=1e-9)
         assert bs96_score(ppair).score == pytest.approx(bs96_score(pair).score, rel=1e-9)
         assert hotelling_score(ppair).score == pytest.approx(
@@ -322,7 +357,7 @@ class TestGramSide:
             assert bs96_score(pair).score == pytest.approx(want["bs96"], rel=1e-12, abs=0)
             assert pair.decomposition.eigenvectors.shape == (p, pair.n)
             oracle = mahalanobis_score(pair, model).score
-            assert oracle == mahalanobis_score(pair, np.diag(model.diag)).score
+            assert oracle == mahalanobis_cholesky(pair.mean_diff, np.diag(model.diag))
 
     @staticmethod
     def close(got, want):
@@ -468,4 +503,4 @@ class TestDiagonalOracle:
                     generate_sample(model, np.zeros(p), 20, rng),
                 )
                 fast = mahalanobis_score(pair, model).score
-                assert fast == mahalanobis_score(pair, dense).score
+                assert fast == mahalanobis_cholesky(pair.mean_diff, dense)

@@ -684,11 +684,9 @@ class TestRocCurve:
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(StructuralError):
-            RocCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), auc=0.9)
+            RocCurve(np.array([0.0, 0.5]), np.array([0.0, 1.0]))
         with pytest.raises(StructuralError):
-            RocCurve(np.array([0.0, 0.5]), np.array([0.0, 1.0]), auc=0.25)
-        with pytest.raises(StructuralError):
-            RocCurve(np.array([0.0, 0.6, 0.4, 1.0]), np.array([0.0, 0.5, 0.7, 1.0]), auc=0.5)
+            RocCurve(np.array([0.0, 0.6, 0.4, 1.0]), np.array([0.0, 0.5, 0.7, 1.0]))
 
 
 class TestNormalityCheck:
