@@ -157,17 +157,18 @@ def shrink_eigenvalues(
     return out
 
 
-def _pop_diag(pop, p: int) -> np.ndarray:
+def _pop_diag(pop, p: int | None = None) -> np.ndarray:
     """The one reader of a population covariance: its `diag` vector (as on a
-    CovarianceModel) or that vector, checked to have length p and finite
-    entries (else StructuralError) that are positive (else
-    SingularCovarianceError)."""
+    CovarianceModel) or that vector, checked to be 1-D, of length p if p is
+    given, with finite entries (else StructuralError) that are positive
+    (else SingularCovarianceError)."""
     try:
         diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"population diagonal is not a vector: {exc}") from exc
-    if diag.shape != (p,):
-        raise StructuralError(f"population diagonal must have shape ({p},), got {diag.shape}")
+    want = (diag.size if p is None else p,)
+    if diag.shape != want:
+        raise StructuralError(f"population diagonal must have shape {want}, got {diag.shape}")
     _require_finite(diag, "population diagonal")
     if np.any(diag <= 0.0):
         raise SingularCovarianceError("population diagonal must be positive")

@@ -59,10 +59,10 @@ class CovarianceModel:
     order: int
 
     def __post_init__(self):
-        size = np.size(self.diag)
-        if size == 0:
+        diag = _pop_diag(self.diag)
+        if diag.size == 0:
             raise StructuralError("covariance diagonal must be a nonempty vector")
-        object.__setattr__(self, "diag", _readonly(_pop_diag(self.diag, size)))
+        object.__setattr__(self, "diag", _readonly(diag))
 
     @property
     def p(self) -> int:

@@ -2,9 +2,8 @@
 
 Everything downstream (shrinkage, detectors, simulation) goes through the
 pooled sample covariance and its eigendecomposition, so the conventions are
-pinned here once: eigenvalues in non-increasing order, a deterministic sign
-convention on eigenvectors, and a relative clip that maps tiny negative
-eigenvalues of a PSD matrix to exactly zero.
+pinned here once: eigenvalues in non-increasing order, and a relative clip
+that maps tiny negative eigenvalues of a PSD matrix to exactly zero.
 
 A sample pair owns its pooled covariance (`pair.scm`) and its
 decomposition (`pair.decomposition`, formed by `decompose_pair`), each formed
@@ -289,38 +288,13 @@ def pooled_scm(pair: SamplePair) -> SymMatrix:
     return _covariance(s)
 
 
-def _column_signs(first_row: np.ndarray, columns) -> np.ndarray:
-    """+1 or -1 per column, making each column's first nonzero coordinate positive.
-
-    `first_row` holds the columns' row-0 entries.  A column whose row-0
-    entry is nonzero takes its sign from that entry; only the others are
-    scanned, as `columns(mask)`, the full columns that the boolean mask
-    selects.  An all-zero column keeps +1.
-    """
-    signs = np.sign(first_row)
-    rest = signs == 0.0
-    if rest.any():
-        cols = columns(rest)
-        nonzero = cols != 0.0
-        first = np.argmax(nonzero, axis=0)  # index of first True per column, 0 if none
-        lead = cols[first, np.arange(first.size)]
-        signs[rest] = np.where(nonzero.any(axis=0), np.sign(lead), 1.0)
-    return signs
-
-
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first nonzero coordinate of each is positive.
-
-    The result is a new C-ordered array.
-    """
-    signs = _column_signs(vecs[0], lambda rest: vecs[:, rest])
-    return np.multiply(vecs, signs, order="C")
-
-
 def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition with deterministic conventions.
+    """Full symmetric eigendecomposition, eigenvalues in non-increasing order.
 
-    Eigenvalues are returned in non-increasing order.  Eigenvalues within
+    The eigenvectors are LAPACK's, signs included: every statistic reads
+    them only through squares and products U D U', so no output depends on
+    a sign.  They come as one new C-ordered array, the layout whose BLAS
+    path fixes the bits of U'v.  Eigenvalues within
     EIGENVALUE_CLIP * largest of zero (either sign) are clipped to exactly 0:
     they are roundoff images of zero for rank-deficient PSD inputs, and
     downstream shrinkage branches on exact zero, so a +1e-16 residue must not
@@ -335,8 +309,7 @@ def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
     if top > 0.0:
         tiny = np.abs(vals) <= EIGENVALUE_CLIP * top
         vals[tiny] = 0.0
-    # One new array takes the columns in non-increasing order with their signs.
-    return SpectralDecomposition(vals, _fix_signs(vecs[:, ::-1]), _owned=True)
+    return SpectralDecomposition(vals, np.ascontiguousarray(vecs[:, ::-1]), _owned=True)
 
 
 def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
@@ -350,9 +323,8 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     range-plus-null form: length-p eigenvalues (the p - r null ones exactly
     0) and a p x r eigenvector block, kept factored as C B with
     B = W / sqrt(n lambda) (see SpectralDecomposition).  The Gram matrix goes
-    through the same symmetry check, clip and sign convention as the p x p
-    path, and the same DomainError when its products overflow.  The block's
-    sign convention is folded into B's columns, read off C's row 0 times B.
+    through the same symmetry check and clip as the p x p path, and the same
+    DomainError when its products overflow.
     """
     if not pair.gram_side:
         return spectral_decompose(pair.scm)
@@ -364,7 +336,6 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     lam = gram.eigenvalues
     r = int(np.count_nonzero(lam > 0.0))
     b = gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r])
-    b *= _column_signs(c[0] @ b, lambda rest: c @ b[:, rest])
     vals = np.concatenate((lam[:r], np.zeros(pair.p - r)))
     return SpectralDecomposition(vals, None, _owned=True, _factors=(c, b))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from hdtest.errors import StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
-from hdtest.spectral import _fix_signs, pooled_scm, quad_form_inverse, spectral_decompose
+from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose
 
 
 def kernel_ab_mp(lam, evals, n, dps=50):
@@ -147,12 +147,12 @@ def dense_path_scores(pair, pop, lw=True):
 
 
 def gram_side_eigenvectors(pair):
-    """The Gram side's p x r eigenvector block as one product, _fix_signs(C @ B).
+    """The Gram side's p x r eigenvector block as one product, C @ B.
 
     This is the library's former form of decompose_pair's block, kept as the
     bit-for-bit reference for the factored block it now keeps: C is the
-    p x N centred data, B = W / sqrt(n lambda) comes from the Gram matrix's
-    positive eigenpairs, and the sign convention is applied to the product.
+    p x N centred data, and B = W / sqrt(n lambda) comes from the Gram
+    matrix's positive eigenpairs.
     """
     c = np.concatenate(
         (pair.x1.entries - pair.xbar1[:, None], pair.x2.entries - pair.xbar2[:, None]), axis=1
@@ -162,7 +162,7 @@ def gram_side_eigenvectors(pair):
     gram = spectral_decompose(g)
     lam = gram.eigenvalues
     r = int(np.count_nonzero(lam > 0.0))
-    return _fix_signs(c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r])))
+    return c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r]))
 
 
 class ScalarLoading(NamedTuple):
@@ -221,17 +221,6 @@ def loading_search_scalar(decomp, pop):
             fd = g(d)
     best_t, best_f = max([(ts[k], vals[k]), (c, fc), (d, fd)], key=lambda pt: pt[1])
     return ScalarLoading(math.exp(best_t), float(best_f), count, k)
-
-
-def fix_signs_by_scan(vecs):
-    """Each column negated when its first nonzero entry is negative (an
-    all-zero column is kept), one column at a time."""
-    out = np.array(vecs, dtype=float, order="C")
-    for j in range(out.shape[1]):
-        nonzero = np.flatnonzero(out[:, j])
-        if nonzero.size and out[nonzero[0], j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
 
 
 def roc_points_unique(h0, h1):

@@ -19,7 +19,7 @@ from hdtest.shrinkage import (
     optimize_loading,
     shrink_eigenvalues,
 )
-from hdtest.simulation import generate_sample, make_covariance
+from hdtest.simulation import generate_sample, make_covariance, model_seed, trial_seed
 from hdtest.spectral import SamplePair, SpectralDecomposition, pooled_scm, spectral_decompose
 
 from oracles import (
@@ -150,6 +150,34 @@ class TestKernelSums:
             a_ref, b_ref = kernel_ab_mp(lam, evals, 30)
             assert a == pytest.approx(float(a_ref), rel=1e-12, abs=1e-14)
             assert b == pytest.approx(float(b_ref), rel=1e-12, abs=1e-14)
+
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: far-field cancellation in the kernel sums"
+    )
+    def test_matches_mpmath_on_a_wide_spectrum(self):
+        # the first H0 pair of seed 1 at p = 190, n1 = n2 = 100, order 4: its
+        # retained eigenvalues run from about 1e4 down to near 0, so |x|
+        # reaches about 1e8 and the far field's two parts cancel
+        p, n1, n2 = 190, 100, 100
+        model = make_covariance(
+            4, p, np.random.default_rng(np.random.SeedSequence(model_seed(1)))
+        )
+        rng = np.random.default_rng(np.random.SeedSequence(trial_seed(1, 0, 0)))
+        pair = SamplePair(
+            generate_sample(model, np.zeros(p), n1, rng),
+            generate_sample(model, np.zeros(p), n2, rng),
+        )
+        retained = spectral_decompose(pooled_scm(pair)).eigenvalues[: min(p, pair.n)]
+        idx = np.concatenate(([0, 1, 2], np.linspace(3, retained.size - 1, 17).astype(int)))
+        a, _ = _kernel_sums(retained[idx], retained, pair.n)
+        a_ref = np.array(
+            [float(kernel_ab_mp(x, retained, pair.n, dps=40)[0]) for x in retained[idx]]
+        )
+        # An exact far field leaves the near field's log rounding, about
+        # 1e-13 relative for |x| <= 22.4 (ROADMAP item 1); 1e-11 gives that
+        # a factor 100 for the rounding of a sum over 190 terms.
+        assert np.max(np.abs(a - a_ref) / np.abs(a_ref)) < 1e-11
 
 
 class TestChunkedKernelSums:

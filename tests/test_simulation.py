@@ -111,6 +111,8 @@ class TestMakeCovariance:
         assert model.p == 2
         with pytest.raises(DomainError):
             CovarianceModel(np.array([1.0, 0.0]), 0)
+        with pytest.raises(StructuralError, match="not a vector"):
+            CovarianceModel([[1], [1, 2]], 0)  # ragged
 
 
 class TestSampleSphere:

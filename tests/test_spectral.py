@@ -6,22 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdtest.errors import DomainError, StructuralError
+from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
 from hdtest.simulation import blas_pinned, generate_sample, make_covariance
 from hdtest.spectral import (
     DataMatrix,
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
-    _fix_signs,
     decompose_pair,
     pooled_scm,
     quad_form_inverse,
     read_matrix_csv,
     spectral_decompose,
+    weighted_norms,
     write_matrix_csv,
 )
 
-from oracles import fix_signs_by_scan, gram_side_eigenvectors
+from oracles import gram_side_eigenvectors
 
 
 def random_pair(rng, p, n1, n2):
@@ -180,8 +181,7 @@ class TestSpectralDecompose:
     def test_diagonal_is_sorted_non_increasing(self):
         d = spectral_decompose(SymMatrix(np.diag([1.0, 4.0])))
         np.testing.assert_array_equal(d.eigenvalues, [4.0, 1.0])
-        # sign convention: first nonzero coordinate positive
-        np.testing.assert_array_equal(d.eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(np.abs(d.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
@@ -198,10 +198,7 @@ class TestSpectralDecompose:
         d1 = spectral_decompose(m)
         d2 = spectral_decompose(m)
         np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
-        lead = d1.eigenvectors[
-            (d1.eigenvectors != 0.0).argmax(axis=0), np.arange(20)
-        ]
-        assert np.all(lead > 0.0)
+        assert d1.eigenvectors.flags.c_contiguous
 
     def test_rejects_asymmetric(self):
         with pytest.raises(StructuralError):
@@ -219,33 +216,6 @@ class TestSpectralDecompose:
         # genuinely indefinite matrices keep their negative eigenvalues
         d = spectral_decompose(SymMatrix(np.diag([1.0, -0.5])))
         assert d.eigenvalues[-1] == -0.5
-
-
-class TestFixSigns:
-    """Row 0 decides a column's sign where it is nonzero; the other columns
-    are scanned.  Either way the result has the bits of a column-by-column
-    scan for the first nonzero entry."""
-
-    @staticmethod
-    def cases():
-        rng = np.random.default_rng(8)
-        vecs = rng.standard_normal((7, 6))
-        vecs[0, 1] = 0.0  # first nonzero entry later, and negative
-        vecs[1, 1] = -0.25
-        vecs[0, 2] = -0.0  # a negative zero is a zero
-        vecs[:3, 3] = 0.0
-        vecs[:, 4] = 0.0  # all-zero column
-        yield vecs
-        yield np.zeros((3, 2))
-        yield rng.standard_normal((40, 5))  # row 0 decides every column
-        yield np.asfortranarray(vecs)
-
-    def test_matches_the_full_scan(self):
-        for vecs in self.cases():
-            want = fix_signs_by_scan(vecs)
-            got = _fix_signs(vecs)
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
 
 
 def model_pair(p, n1, n2, order, seed=0):
@@ -285,8 +255,6 @@ class TestDecomposePair:
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-10)
         s = pooled_scm(pair).entries
         np.testing.assert_allclose(s @ u, u * lam, rtol=0, atol=1e-10 * lam[0])
-        # the p x p path's sign convention: first nonzero coordinate positive
-        assert np.all(u[0] > 0.0)
 
     @pytest.mark.parametrize("p,n1,n2", [(60, 40, 40), (80, 40, 40), (5, 3, 4)])
     def test_at_most_n1_plus_n2_is_the_p_by_p_decomposition(self, p, n1, n2):
@@ -308,8 +276,8 @@ class TestDecomposePair:
         assert decomp.eigenvectors is got  # formed once, then kept
 
     def test_factored_signs_when_row_0_is_zero(self):
-        # a constant coordinate 0 centres to a zero row of C, so every
-        # column's sign comes from the scan for its first nonzero entry
+        # a constant coordinate 0 centres to a zero row of C, and so to a
+        # zero row of the block
         rng = np.random.default_rng(4)
         x1, x2 = rng.standard_normal((30, 6)), rng.standard_normal((30, 5))
         x1[0] = x2[0] = 1.5
@@ -317,7 +285,35 @@ class TestDecomposePair:
         u = decompose_pair(pair).eigenvectors
         assert np.all(u[0] == 0.0)
         np.testing.assert_array_equal(u, gram_side_eigenvectors(pair))
-        assert np.all(u[1] > 0.0)
+
+    @pytest.mark.parametrize("p,n1,n2", [(60, 40, 40), (150, 40, 40)])
+    def test_statistics_do_not_read_eigenvector_signs(self, p, n1, n2):
+        # eigenvector signs are LAPACK's: negating any subset of columns,
+        # of an explicit U or of a factored B, leaves every statistic's bits
+        pair = model_pair(p, n1, n2, 2)
+        pop = make_covariance(2, p, np.random.default_rng(5))
+        v = pair.mean_diff
+        decomp = decompose_pair(pair)
+        vals, u = decomp.eigenvalues, decomp.eigenvectors
+        r = u.shape[1]
+        signs = np.random.default_rng(6).choice([-1.0, 1.0], size=r)
+        assert np.any(signs < 0.0) and np.any(signs > 0.0)
+        cases = [(SpectralDecomposition(vals, u), SpectralDecomposition(vals, u * signs))]
+        if pair.gram_side:
+            c, b = decomp._c, decomp._b
+            cases.append((decomp, SpectralDecomposition(vals, None, _factors=(c, b * signs))))
+        for base, flipped in cases:
+            dhat = shrink_eigenvalues(base, pair.n, p)
+            loading = optimize_loading(base, pop)
+            assert optimize_loading(flipped, pop) == loading
+            ds = [dhat, vals + loading.lambda_star] + ([vals] if np.all(vals > 0.0) else [])
+            for d in ds:
+                assert quad_form_inverse(flipped, d, v) == quad_form_inverse(base, d, v)
+            want = weighted_norms(base, pop.diag)
+            assert weighted_norms(flipped, pop.diag).tobytes() == want.tobytes()
+            uf, ub = flipped.eigenvectors, base.eigenvectors
+            want = (ub * dhat[:r]) @ ub.T
+            assert ((uf * dhat[:r]) @ uf.T).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p,n1,n2", [(30, 20, 20), (150, 40, 40)])
     def test_a_second_pair_leaves_the_first_decomposition_alone(self, p, n1, n2):
