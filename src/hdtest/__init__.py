@@ -44,7 +44,6 @@ from .simulation import (
     sample_sphere,
 )
 from .spectral import (
-    DataMatrix,
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
@@ -69,7 +68,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "DegenerateVarianceError",
     # spectral core
-    "DataMatrix",
     "SamplePair",
     "SymMatrix",
     "SpectralDecomposition",

@@ -149,7 +149,7 @@ def cq10_score(pair: SamplePair) -> ScoreResult:
     O(p*(n1+n2)) via sum_{i != j} x_i' x_j = ||sum_i x_i||^2 - sum_i ||x_i||^2.
     Sums whose squares leave the float range raise DomainError.
     """
-    x1, x2 = pair.x1.entries, pair.x2.entries
+    x1, x2 = pair.x1, pair.x2
     n1, n2 = pair.n1, pair.n2
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
         s1 = x1.sum(axis=1)

@@ -16,6 +16,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import operator
 import os
 import threading
 import warnings
@@ -38,7 +39,7 @@ from .errors import DomainError, StructuralError
 from .shrinkage import _pop_diag
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
-from .spectral import DataMatrix, SamplePair, _readonly, _take, _write_csv, pooled_scm  # noqa: F401
+from .spectral import SamplePair, _readonly, _take, _write_csv, pooled_scm  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -120,11 +121,12 @@ def generate_sample(
     rng: np.random.Generator,
     base_dist: str = "uniform",
     out: np.ndarray | None = None,
-) -> DataMatrix:
+) -> np.ndarray:
     """Color iid mean-0 variance-1 noise by the model and shift by the mean.
 
     The default base distribution is uniform on [-sqrt(3), sqrt(3)]; the
-    gaussian variant draws standard normals instead, into `out` if given.
+    gaussian variant draws standard normals instead.  The p x n draw is made
+    in `out` if given, and returned read-only, frozen in place.
     """
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (model.p,):
@@ -144,7 +146,7 @@ def generate_sample(
     u *= np.sqrt(model.diag)[:, None]
     if mean.any():  # adding an all-zero mean changes no entry
         u += mean[:, None]
-    return DataMatrix(u, _owned=True)
+    return _readonly(u, True)
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,23 @@ class SimulationConfig:
     base_dist: str = "uniform"
 
     def __post_init__(self):
+        # Integer fields are stored as Python ints, so they serialize as JSON
+        # and a float such as 2.5 cannot pass for the integer the run records.
+        for name in ("p", "n1", "n2", "cov_order", "trials", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise StructuralError(f"{name} must be an integer, got {value!r}") from None
         if self.p < 1:
             raise StructuralError(f"p must be >= 1, got {self.p}")
         if self.n1 < 2 or self.n2 < 2:
             raise StructuralError("n1 and n2 must both be >= 2")
         if self.trials < 1:
             raise StructuralError(f"trials must be >= 1, got {self.trials}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise StructuralError("seed must be a non-negative integer")
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise StructuralError(f"radius must be finite and >= 0, got {self.radius}")
@@ -204,13 +216,16 @@ def model_seed(seed: int) -> list:
 
 
 def thread_count() -> int:
-    """Worker-thread cap: HDTEST_THREADS if set, else machine parallelism."""
+    """Worker-thread cap: HDTEST_THREADS if set, else the number of CPUs
+    this process may run on (its affinity set, where the platform has one)."""
     env = os.environ.get("HDTEST_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             warnings.warn(f"ignoring invalid HDTEST_THREADS={env!r}", stacklevel=2)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

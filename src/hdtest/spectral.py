@@ -60,37 +60,12 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class DataMatrix:
-    """A p x n block of observations, one column per observation.
-
-    The entries are a read-only copy of the caller's array.  `_owned=True`
-    is for arrays the library has just made: it freezes them in place.
-    """
-
-    entries: np.ndarray
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2:
-            raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
-        if e.shape[1] < 2:
-            raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
-        _require_finite(e, "data matrix")
-        object.__setattr__(self, "entries", _readonly(e, _owned))
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
 class SamplePair:
     """Two independent samples sharing one coordinate space.
+
+    x1 and x2 are p x n1 and p x n2 blocks of observations, one column per
+    observation, each 2-D with at least 2 columns and finite entries.  Each
+    is kept as a read-only copy of the caller's array.
 
     The group means xbar1, xbar2 and their difference mean_diff are computed
     once, at construction.  The pooled covariance `scm` and its
@@ -100,25 +75,32 @@ class SamplePair:
 
     With the engine's `_workspace` (see _take) the pair forms its arrays in
     it, so it must be dropped before the next pair that shares it is formed.
+    The engine drew both blocks into that workspace, so they are frozen in
+    place, not copied.
     """
 
-    x1: DataMatrix
-    x2: DataMatrix
+    x1: np.ndarray
+    x2: np.ndarray
     _workspace: InitVar[dict | None] = None
 
     def __post_init__(self, _workspace):
-        x1 = self.x1 if isinstance(self.x1, DataMatrix) else DataMatrix(self.x1)
-        x2 = self.x2 if isinstance(self.x2, DataMatrix) else DataMatrix(self.x2)
-        if x1.p != x2.p:
+        for name in ("x1", "x2"):
+            e = np.asarray(getattr(self, name), dtype=float)
+            if e.ndim != 2:
+                raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
+            if e.shape[1] < 2:
+                raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
+            _require_finite(e, "data matrix")
+            object.__setattr__(self, name, _readonly(e, _workspace is not None))
+        x1, x2 = self.x1, self.x2
+        if x1.shape[0] != x2.shape[0]:
             raise StructuralError(
-                f"dimension mismatch between samples: {x1.p} vs {x2.p}"
+                f"dimension mismatch between samples: {x1.shape[0]} vs {x2.shape[0]}"
             )
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
         # An overflowing mean is inf or nan, and so is mean_diff: one check covers all.
         with np.errstate(over="ignore", invalid="ignore"):
-            xbar1 = x1.entries.mean(axis=1)
-            xbar2 = x2.entries.mean(axis=1)
+            xbar1 = x1.mean(axis=1)
+            xbar2 = x2.mean(axis=1)
             mean_diff = xbar1 - xbar2
         if not np.all(np.isfinite(mean_diff)):
             raise DomainError("group mean overflows the float range")
@@ -145,15 +127,15 @@ class SamplePair:
 
     @property
     def p(self) -> int:
-        return self.x1.p
+        return self.x1.shape[0]
 
     @property
     def n1(self) -> int:
-        return self.x1.n
+        return self.x1.shape[1]
 
     @property
     def n2(self) -> int:
-        return self.x2.n
+        return self.x2.shape[1]
 
     @property
     def n(self) -> int:
@@ -173,10 +155,11 @@ class SamplePair:
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """A square symmetric matrix with finite entries (copied as DataMatrix's are).
+    """A square symmetric matrix with finite entries.
 
-    `_owned=True` also says that the library has already checked the
-    entries finite (see `_covariance`).
+    The entries are a read-only copy of the caller's array.  `_owned=True`
+    is for a matrix the library has just made and checked finite (see
+    `_covariance`): it is frozen in place.
     """
 
     entries: np.ndarray
@@ -207,8 +190,9 @@ class SpectralDecomposition:
     The eigenvectors are either a full p x p basis or, in range-plus-null
     form, a p x r block for the first r eigenvalues; the remaining p - r
     eigenvalues are then exactly 0 and belong to the orthogonal complement
-    of the block, which is never formed.  Both arrays are copied as
-    DataMatrix's entries are.
+    of the block, which is never formed.  Both arrays are read-only copies of
+    the caller's; `_owned=True` freezes arrays the library has just made in
+    place instead.
 
     A Gram-side decomposition (see decompose_pair) keeps its p x r block
     factored as C B, the p x N centred data times an N x r factor.  Reading
@@ -264,8 +248,8 @@ def _covariance(s: np.ndarray) -> SymMatrix:
 def _centred(pair: SamplePair) -> np.ndarray:
     """The p x (n1 + n2) block of both groups' columns minus their group means."""
     c = _take(pair._ws, "centred", (pair.p, pair.n1 + pair.n2))
-    np.subtract(pair.x1.entries, pair.xbar1[:, None], out=c[:, : pair.n1])
-    np.subtract(pair.x2.entries, pair.xbar2[:, None], out=c[:, pair.n1 :])
+    np.subtract(pair.x1, pair.xbar1[:, None], out=c[:, : pair.n1])
+    np.subtract(pair.x2, pair.xbar2[:, None], out=c[:, pair.n1 :])
     return c
 
 

@@ -67,17 +67,59 @@ def kernel_sums_one_shot(lams, evals, n):
     return a, b
 
 
-def shrink_mp(evals, n, p, dps=50):
-    """Shrunk eigenvalues for strictly positive evals, in mpmath precision."""
+def shrink_mp(evals, n, p, dps=50, points=None):
+    """Shrunk eigenvalues for strictly positive evals, in mpmath precision.
+
+    The result holds the shrunk values of `points` (default: every one of
+    `evals`), which are sample eigenvalues from `evals`.  For p < n, `evals`
+    are all p sample eigenvalues.  For p > n, they are the n nonzero ones;
+    see shrink_above_mp.
+    """
+    if p > n:
+        return shrink_above_mp(evals, n, p, dps, points)
     with mp.workdps(dps):
         out = []
         m = min(n, p)
         ratio = mp.mpf(p) / n
-        for ev in evals:
+        for ev in evals if points is None else points:
             a, b = kernel_ab_mp(ev, evals, n, dps=dps)
             s = mp.pi * (a + 1j * b) / m
             denom = abs(1 - ratio - ratio * mp.mpf(ev) * s) ** 2
             out.append(mp.mpf(ev) / denom)
+        return out
+
+
+def shrink_above_mp(evals, n, p, dps=50, points=None):
+    """The shrinkage map for p >= n, in mpmath precision.
+
+    `evals` are the n nonzero sample eigenvalues, all strictly positive.
+    The result holds the shrunk values of `points` (default: all of
+    `evals`), followed, when p > n, by the one value that all p - n zero
+    eigenvalues map to.
+
+    Derivation.  Let F be the limiting distribution of all p sample
+    eigenvalues and G that of the n nonzero ones, with Stieltjes transforms
+    m_F and m_G taken at lambda + i0, and c = p/n.  Ledoit and Peche (2011)
+    relate them by m_F(lambda) = -(1 - 1/c)/lambda + m_G(lambda)/c, so the
+    p < n form's denominator is
+        1 - c - c lambda m_F = 1 - c + (c - 1) - lambda m_G = -lambda m_G,
+    and lambda / |1 - c - c lambda m_F|^2 = 1 / (lambda |m_G|^2).  m_G is
+    estimated by s = pi (a + i b) / n, the kernel sums over the n nonzero
+    eigenvalues, so d_i = 1 / (lambda_i |s_i|^2); at c = 1 the two forms
+    agree.  The zero eigenvalues take Ledoit and Wolf's (2020) null-space
+    target 1 / ((c - 1) m_G(0)).  0 lies below G's support, so
+    m_G(0) = int dG(t)/t is real, estimated by pi a(0) / n, and
+        d_0 = 1 / ((c - 1) pi a(0) / n).
+    """
+    with mp.workdps(dps):
+        out = []
+        for ev in evals if points is None else points:
+            a, b = kernel_ab_mp(ev, evals, n, dps=dps)
+            s = mp.pi * (a + 1j * b) / n
+            out.append(1 / (mp.mpf(ev) * abs(s) ** 2))
+        if p > n:
+            a0, _ = kernel_ab_mp(0, evals, n, dps=dps)
+            out.append(1 / ((mp.mpf(p) / n - 1) * mp.pi * a0 / n))
         return out
 
 
@@ -155,7 +197,7 @@ def gram_side_eigenvectors(pair):
     matrix's positive eigenpairs.
     """
     c = np.concatenate(
-        (pair.x1.entries - pair.xbar1[:, None], pair.x2.entries - pair.xbar2[:, None]), axis=1
+        (pair.x1 - pair.xbar1[:, None], pair.x2 - pair.xbar2[:, None]), axis=1
     )
     g = c.T @ c
     g /= pair.n

@@ -41,7 +41,6 @@ from hdtest.simulation import (
     trial_seed,
 )
 from hdtest.spectral import (
-    DataMatrix,
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
@@ -353,7 +352,7 @@ def test_criterion_8_oracle_equivalences():
         p = int(rng.integers(2, 7))
         x1 = rng.standard_normal((p, int(rng.integers(3, 9))))
         x2 = rng.standard_normal((p, int(rng.integers(3, 9))))
-        fast = cq10_score(SamplePair(DataMatrix(x1), DataMatrix(x2))).score
+        fast = cq10_score(SamplePair(x1, x2)).score
         slow = cq10_double_loop(x1, x2)
         worst_cq = max(worst_cq, abs(fast - slow) / max(abs(slow), 1e-30))
     cq_ok = worst_cq < 1e-10

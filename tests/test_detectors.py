@@ -33,7 +33,6 @@ from hdtest.simulation import (
 )
 from hdtest.shrinkage import shrink_eigenvalues
 from hdtest.spectral import (
-    DataMatrix,
     SamplePair,
     SymMatrix,
     pooled_scm,
@@ -43,12 +42,8 @@ from hdtest.spectral import (
 from oracles import cq10_double_loop, dense_path_scores, mahalanobis_cholesky
 
 
-def pair_from(x1, x2) -> SamplePair:
-    return SamplePair(DataMatrix(np.asarray(x1, dtype=float)), DataMatrix(np.asarray(x2, dtype=float)))
-
-
 def random_pair(rng, p, n1, n2) -> SamplePair:
-    return pair_from(rng.standard_normal((p, n1)), rng.standard_normal((p, n2)))
+    return SamplePair(rng.standard_normal((p, n1)), rng.standard_normal((p, n2)))
 
 
 def model_pair(seed, p, n1, n2, order=0, mu=None):
@@ -76,18 +71,18 @@ class TestDetectorKind:
 
 class TestMahalanobis:
     def test_identity_covariance_is_squared_norm(self):
-        pair = pair_from([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+        pair = SamplePair([[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         res = mahalanobis_score(pair, np.ones(2))
         assert res.kind is DetectorKind.MAHALANOBIS_ORACLE
         assert res.score == pytest.approx(1.0)
 
     def test_diagonal_covariance_weights_coordinates(self):
-        pair = pair_from([[2.0, 2.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
+        pair = SamplePair([[2.0, 2.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
         # diff = (2, 1); R = diag(4, 1) -> 4/4 + 1/1 = 2
         assert mahalanobis_score(pair, np.array([4.0, 1.0])).score == pytest.approx(2.0)
 
     def test_rejects_singular_population(self):
-        pair = pair_from([[1.0, 1.0]], [[0.0, 0.0]])
+        pair = SamplePair([[1.0, 1.0]], [[0.0, 0.0]])
         with pytest.raises(SingularCovarianceError):
             mahalanobis_score(pair, np.zeros(1))
 
@@ -124,12 +119,12 @@ class TestHotelling:
     def test_scalar_hand_example(self):
         # x1 = [0, 2], x2 = [3, 3]: diff = -2, S = 1, k = 1 -> 1 * 4 / ... no
         # prefactor: diff' S^{-1} diff = 4
-        pair = pair_from([[0.0, 2.0]], [[3.0, 3.0]])
+        pair = SamplePair([[0.0, 2.0]], [[3.0, 3.0]])
         assert hotelling_score(pair).score == pytest.approx(4.0)
 
     def test_frozen_hand_example(self):
         # x1 mean 1 scatter 2, x2 mean -2 scatter 0: diff = 3, S = 1 -> 9
-        pair = pair_from([[0.0, 2.0]], [[-2.0, -2.0]])
+        pair = SamplePair([[0.0, 2.0]], [[-2.0, -2.0]])
         assert hotelling_score(pair).score == pytest.approx(9.0)
 
     def test_rejects_p_above_n(self):
@@ -143,7 +138,7 @@ class TestHotelling:
         rng = np.random.default_rng(1)
         base1 = rng.standard_normal((1, 6))
         base2 = rng.standard_normal((1, 6))
-        pair = pair_from(np.vstack([base1, base1]), np.vstack([base2, base2]))
+        pair = SamplePair(np.vstack([base1, base1]), np.vstack([base2, base2]))
         with pytest.raises(SingularCovarianceError):
             hotelling_score(pair)
 
@@ -152,7 +147,7 @@ class TestLwDetector:
     def test_equal_means_give_minus_sqrt_half_p(self):
         # identical groups: diff = 0, T2 = 0, Z = -p/sqrt(2p) = -sqrt(p/2)
         x = np.array([[1.0, -1.0, 0.5, -0.5], [0.2, 0.4, -0.2, -0.4]])
-        pair = pair_from(x, x)
+        pair = SamplePair(x, x)
         res = lw_score(pair)
         assert res.aux["t2_lw"] == 0.0
         assert res.score == pytest.approx(-math.sqrt(pair.p / 2.0), rel=1e-12)
@@ -185,7 +180,7 @@ class TestLwDetector:
 class TestBs96:
     def test_equal_means_numerator_is_minus_trace(self):
         x = np.array([[1.0, -1.0, 2.0], [0.0, 1.0, -1.0]])
-        pair = pair_from(x, x)
+        pair = SamplePair(x, x)
         res = bs96_score(pair)
         tr = float(np.trace(pooled_scm(pair).entries))
         assert res.aux["numerator"] == pytest.approx(-tr, rel=1e-12)
@@ -199,7 +194,7 @@ class TestBs96:
         cols = scale * np.array(
             [[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
         )
-        pair = pair_from(cols, cols)
+        pair = SamplePair(cols, cols)
         res = bs96_score(pair)
         n = 6.0
         bn = n * n / ((n + 2.0) * (n - 1.0)) * (2.0 - 4.0 / n)
@@ -210,7 +205,7 @@ class TestBs96:
 
     def test_rejects_degenerate_variance(self):
         # identical constant columns: S = 0 -> B_n = 0
-        pair = pair_from(np.ones((2, 3)), np.ones((2, 3)))
+        pair = SamplePair(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(DegenerateVarianceError):
             bs96_score(pair)
 
@@ -227,14 +222,14 @@ class TestBs96:
 class TestCq10:
     def test_orthonormal_columns_give_zero(self):
         # distinct standard-basis columns: every cross product vanishes
-        pair = pair_from(np.eye(4)[:, :2], np.eye(4)[:, 2:])
+        pair = SamplePair(np.eye(4)[:, :2], np.eye(4)[:, 2:])
         assert cq10_score(pair).score == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_shift_gives_squared_norm(self):
         c = np.array([1.0, 2.0])
         x1 = np.tile(c[:, None], (1, 3))
         x2 = np.zeros((2, 3))
-        pair = pair_from(x1, x2)
+        pair = SamplePair(x1, x2)
         assert cq10_score(pair).score == pytest.approx(float(c @ c), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -242,7 +237,7 @@ class TestCq10:
         rng = np.random.default_rng(seed)
         x1 = rng.standard_normal((7, 6))
         x2 = rng.standard_normal((7, 5))
-        got = cq10_score(pair_from(x1, x2)).score
+        got = cq10_score(SamplePair(x1, x2)).score
         want = cq10_double_loop(x1, x2)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -254,7 +249,7 @@ class TestCq10:
         for _ in range(20000):
             x1 = mu[:, None] + rng.standard_normal((2, 3))
             x2 = rng.standard_normal((2, 3))
-            vals.append(cq10_score(pair_from(x1, x2)).score)
+            vals.append(cq10_score(SamplePair(x1, x2)).score)
         est = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert abs(est - 1.0) < 3.0 * se
@@ -263,7 +258,7 @@ class TestCq10:
 class TestLappw:
     def test_equal_means_give_zero(self):
         x = np.array([[1.0, -1.0, 0.0], [2.0, 0.0, -2.0]])
-        pair = pair_from(x, x)
+        pair = SamplePair(x, x)
         model = make_covariance(0, 2, np.random.default_rng(0))
         assert lappw_score(pair, model).score == pytest.approx(0.0, abs=1e-12)
 
@@ -311,7 +306,7 @@ class TestLappw:
         pair = SamplePair(x1, x2)
         base = lappw_score(pair, model).score
         c = 3.0
-        scaled_pair = pair_from(c * x1.entries, c * x2.entries)
+        scaled_pair = SamplePair(c * x1, c * x2)
         scaled = lappw_score(scaled_pair, c * c * model.diag).score
         assert scaled == pytest.approx(base, rel=1e-5)
 
@@ -325,8 +320,8 @@ class TestPermutationEquivariance:
         x1 = rng.standard_normal((p, 12))
         x2 = rng.standard_normal((p, 10))
         perm = rng.permutation(p)
-        pair = pair_from(x1, x2)
-        ppair = pair_from(x1[perm], x2[perm])
+        pair = SamplePair(x1, x2)
+        ppair = SamplePair(x1[perm], x2[perm])
         r = rng.uniform(0.5, 2.0, size=p)
         rp = r[perm]
         assert cq10_score(ppair).score == pytest.approx(cq10_score(pair).score, rel=1e-9)
@@ -377,7 +372,7 @@ class TestGramSide:
         # 20 columns spanning 6 directions: rank 5 after centring, n = 18
         rng = np.random.default_rng(6)
         base = rng.standard_normal((60, 6))
-        pair = pair_from(base[:, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]], base[:, [4, 5, 0, 1, 2, 3, 4, 5, 0, 1]])
+        pair = SamplePair(base[:, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]], base[:, [4, 5, 0, 1, 2, 3, 4, 5, 0, 1]])
         r = pair.decomposition.eigenvectors.shape[1]
         assert r < pair.n
         assert np.all(pair.decomposition.eigenvalues[r:] == 0.0)
@@ -392,7 +387,7 @@ class TestGramSide:
                 shrink_eigenvalues(decomp, pair.n, pair.p)
 
     def test_constant_columns_leave_no_vectors(self):
-        pair = pair_from(np.full((30, 4), 2.5), np.full((30, 3), -1.0))
+        pair = SamplePair(np.full((30, 4), 2.5), np.full((30, 3), -1.0))
         assert pair.decomposition.eigenvectors.shape == (30, 0)
         with pytest.raises(DegenerateSpectrumError, match="retained"):
             lw_score(pair)
@@ -426,7 +421,7 @@ class TestOverflow:
     @staticmethod
     def wide_pair(p):
         rng = np.random.default_rng(p)
-        return pair_from(1e155 * rng.standard_normal((p, 4)), 1e155 * rng.standard_normal((p, 4)))
+        return SamplePair(1e155 * rng.standard_normal((p, 4)), 1e155 * rng.standard_normal((p, 4)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("detector", [bs96_score, lw_score])
@@ -443,7 +438,7 @@ class TestOverflow:
         rows = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [0.5, 0.2, 0.1, 0.3]])
         flipped = rows * np.array([[1.0], [-1.0], [1.0]])
         with pytest.raises(DomainError, match="pooled sample covariance overflows"):
-            detector(pair_from(1.3e154 * rows, 1.3e154 * flipped))
+            detector(SamplePair(1.3e154 * rows, 1.3e154 * flipped))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cq10_raises_domain_error(self):

@@ -27,6 +27,7 @@ from oracles import (
     kernel_sums_one_shot,
     loading_search_scalar,
     oracle_diagnostics,
+    shrink_above_mp,
     shrink_mp,
     snr_proxy_dense,
 )
@@ -63,6 +64,18 @@ def ab_at(lam, evals, n) -> tuple[float, float]:
 def decomp_from(evals) -> SpectralDecomposition:
     evals = np.asarray(evals, dtype=float)
     return SpectralDecomposition(evals, np.eye(evals.size))
+
+
+def first_h0_pair(p, n1, n2, order) -> SamplePair:
+    """The first H0 pair of seed 1, as the trial engine draws it."""
+    model = make_covariance(
+        order, p, np.random.default_rng(np.random.SeedSequence(model_seed(1)))
+    )
+    rng = np.random.default_rng(np.random.SeedSequence(trial_seed(1, 0, 0)))
+    return SamplePair(
+        generate_sample(model, np.zeros(p), n1, rng),
+        generate_sample(model, np.zeros(p), n2, rng),
+    )
 
 
 class TestKernelContext:
@@ -159,15 +172,8 @@ class TestKernelSums:
         # the first H0 pair of seed 1 at p = 190, n1 = n2 = 100, order 4: its
         # retained eigenvalues run from about 1e4 down to near 0, so |x|
         # reaches about 1e8 and the far field's two parts cancel
-        p, n1, n2 = 190, 100, 100
-        model = make_covariance(
-            4, p, np.random.default_rng(np.random.SeedSequence(model_seed(1)))
-        )
-        rng = np.random.default_rng(np.random.SeedSequence(trial_seed(1, 0, 0)))
-        pair = SamplePair(
-            generate_sample(model, np.zeros(p), n1, rng),
-            generate_sample(model, np.zeros(p), n2, rng),
-        )
+        p = 190
+        pair = first_h0_pair(p, 100, 100, 4)
         retained = spectral_decompose(pooled_scm(pair)).eigenvalues[: min(p, pair.n)]
         idx = np.concatenate(([0, 1, 2], np.linspace(3, retained.size - 1, 17).astype(int)))
         a, _ = _kernel_sums(retained[idx], retained, pair.n)
@@ -259,6 +265,39 @@ class TestShrinkEigenvalues:
         out = shrink_eigenvalues(decomp_from(evals), 40, 6)
         ref = [float(v) for v in shrink_mp(evals, 40, 6)]
         np.testing.assert_allclose(out, ref, rtol=1e-10)
+
+    def test_ledoit_peche_oracle_meets_the_p_below_n_form_at_p_equals_n(self):
+        # at c = 1 both oracle forms read 1/(lambda |s|^2), as ROADMAP item 2
+        # states; they differ only by the rounding of the 50-digit arithmetic
+        evals = (3.0, 1.0, 0.5)
+        below = shrink_mp(evals, 3, 3)
+        above = shrink_above_mp(evals, 3, 3)
+        assert len(above) == len(below) == 3
+        for x, y in zip(below, above):
+            assert abs(x - y) <= 1e-45 * abs(x)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 2: the p > n shrinkage map"
+    )
+    def test_matches_the_ledoit_peche_oracle_above_p_equals_n(self):
+        # fixture B, and the first H0 pair of seed 1 at p = 400, n1 = n2 = 100
+        # (c about 2) at order 0, which keeps item 1's far-field error out:
+        # its 3 largest and 17 evenly spaced retained eigenvalues
+        pair = first_h0_pair(400, 100, 100, 0)
+        idx = np.concatenate(([0, 1, 2], np.linspace(3, pair.n - 1, 17).astype(int)))
+        cases = [(decomp_from(FIX_B_EVALS), FIX_B_N, [0, 1]), (pair.decomposition, pair.n, idx)]
+        for decomp, n, idx in cases:
+            lam = decomp.eigenvalues
+            got = shrink_eigenvalues(decomp, n, decomp.p)
+            want = shrink_mp(lam[:n], n, decomp.p, dps=40, points=lam[idx])
+            # The oracle is exact to about 1e-38, so the gap is the library's
+            # double rounding: its kernel sums carry the near-field log
+            # rounding, about 1e-13 relative (ROADMAP item 1); d = 1/(lambda
+            # |s|^2) doubles it, and 1e-10 leaves a factor 500 for sums over
+            # up to 198 terms.  The last value is the zero eigenvalues' target.
+            np.testing.assert_allclose(
+                np.append(got[idx], got[-1]), [float(v) for v in want], rtol=1e-10
+            )
 
     def test_scale_equivariance_fixture(self):
         base = shrink_eigenvalues(decomp_from(FIX_A_EVALS), FIX_A_N, 2)

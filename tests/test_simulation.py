@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -146,21 +147,21 @@ class TestGenerateSample:
         model = CovarianceModel(np.array([1.0, 4.0]), 0)
         mean = np.array([10.0, -10.0])
         x = generate_sample(model, mean, 500, np.random.default_rng(0))
-        assert x.entries.shape == (2, 500)
-        centered = x.entries - mean[:, None]
+        assert x.shape == (2, 500)
+        centered = x - mean[:, None]
         bound = math.sqrt(3.0) * np.sqrt(model.diag)
         assert np.all(np.abs(centered) <= bound[:, None] + 1e-12)
 
     def test_variance_matches_model(self):
         model = CovarianceModel(np.array([1.0, 4.0]), 0)
         x = generate_sample(model, np.zeros(2), 20000, np.random.default_rng(1))
-        v = x.entries.var(axis=1)
+        v = x.var(axis=1)
         np.testing.assert_allclose(v, [1.0, 4.0], rtol=0.05)
 
     def test_gaussian_base_exceeds_uniform_bound(self):
         model = CovarianceModel(np.ones(1), 0)
         x = generate_sample(model, np.zeros(1), 5000, np.random.default_rng(2), "gaussian")
-        assert np.max(np.abs(x.entries)) > math.sqrt(3.0)
+        assert np.max(np.abs(x)) > math.sqrt(3.0)
 
     def test_rejects_unknown_base(self):
         model = CovarianceModel(np.ones(1), 0)
@@ -187,8 +188,8 @@ class TestGenerateSample:
         buf = np.full((7, 13), np.nan)
         got = generate_sample(model, mean, 13, np.random.default_rng(9), base, out=buf[...])
         fresh = generate_sample(model, mean, 13, np.random.default_rng(9), base)
-        np.testing.assert_array_equal(got.entries, want)
-        np.testing.assert_array_equal(fresh.entries, want)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(fresh, want)
         np.testing.assert_array_equal(buf, want)
         assert buf.flags.writeable  # the frozen view leaves the buffer writable
 
@@ -209,6 +210,14 @@ class TestSeedDerivation:
             assert thread_count() >= 1
         monkeypatch.delenv("HDTEST_THREADS")
         assert thread_count() >= 1
+
+    def test_default_thread_count_is_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("HDTEST_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert thread_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+        assert thread_count() == 8
 
 
 class TestSimulationConfig:
@@ -238,6 +247,27 @@ class TestSimulationConfig:
             SimulationConfig(detectors=())
         with pytest.raises(StructuralError, match="repeated detector"):
             SimulationConfig(detectors=("lw", "lw", "cq10"))
+
+    @pytest.mark.parametrize(
+        "name,value,want",
+        [
+            ("seed", np.int64(3), 3),
+            ("n1", np.int64(8), 8),
+            ("seed", True, None),
+            ("p", 6.0, None),
+            ("trials", 2.0, None),
+            ("cov_order", 2.5, None),
+        ],
+    )
+    def test_integer_fields_are_python_ints(self, name, value, want):
+        # want None: the value is no integer, and the error names the field
+        if want is None:
+            with pytest.raises(StructuralError, match=f"^{name} must be an integer"):
+                SimulationConfig(**{name: value})
+            return
+        cfg = SimulationConfig(**{name: value})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == want
+        json.dumps(cfg.as_dict())
 
     def test_as_dict_round_trips(self):
         cfg = SimulationConfig(**SMALL)

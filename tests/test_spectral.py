@@ -9,7 +9,6 @@ from hdtest.errors import DomainError, StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
 from hdtest.simulation import blas_pinned, generate_sample, make_covariance
 from hdtest.spectral import (
-    DataMatrix,
     SamplePair,
     SpectralDecomposition,
     SymMatrix,
@@ -26,38 +25,14 @@ from oracles import gram_side_eigenvectors
 
 
 def random_pair(rng, p, n1, n2):
-    return SamplePair(
-        DataMatrix(rng.standard_normal((p, n1))),
-        DataMatrix(rng.standard_normal((p, n2))),
-    )
-
-
-class TestDataMatrix:
-    def test_requires_two_observations(self):
-        with pytest.raises(StructuralError):
-            DataMatrix(np.zeros((3, 1)))
-
-    def test_rejects_non_finite(self):
-        bad = np.zeros((2, 3))
-        bad[1, 2] = np.nan
-        with pytest.raises(StructuralError):
-            DataMatrix(bad)
-
-    def test_rejects_1d(self):
-        with pytest.raises(StructuralError):
-            DataMatrix(np.zeros(5))
-
-    def test_entries_are_immutable(self):
-        m = DataMatrix(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 1.0
+    return SamplePair(rng.standard_normal((p, n1)), rng.standard_normal((p, n2)))
 
 
 def caller_arrays(which):
     """A caller's arrays for one value type, and that type's constructor."""
     rng = np.random.default_rng(2)
     if which == "data":
-        return [rng.standard_normal((3, 5))], DataMatrix
+        return [rng.standard_normal((3, 5)), rng.standard_normal((3, 4))], SamplePair
     if which == "sym":
         a = rng.standard_normal((4, 4))
         return [a + a.T], SymMatrix
@@ -65,6 +40,8 @@ def caller_arrays(which):
 
 
 def kept_arrays(obj):
+    if isinstance(obj, SamplePair):  # its other arrays are means of these
+        return [obj.x1, obj.x2]
     return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
 
 
@@ -105,16 +82,35 @@ class TestCopyContract:
         x1 = generate_sample(model, np.ones(p), 8, rng)
         x2 = generate_sample(model, np.zeros(p), 9, rng)
         pair = SamplePair(x1, x2)
-        made = [x1, x2, pair.scm, pair.decomposition, spectral_decompose(pair.scm.entries)]
-        for a in (a for obj in made for a in kept_arrays(obj)):
+        made = [pair.scm, pair.decomposition, spectral_decompose(pair.scm.entries)]
+        for a in [x1, x2] + [a for obj in made for a in kept_arrays(obj)]:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
 
 class TestSamplePair:
+    def test_requires_two_observations(self):
+        with pytest.raises(StructuralError):
+            SamplePair(np.zeros((3, 1)), np.zeros((3, 2)))
+
+    def test_rejects_non_finite(self):
+        bad = np.zeros((2, 3))
+        bad[1, 2] = np.nan
+        with pytest.raises(StructuralError):
+            SamplePair(bad, np.zeros((2, 3)))
+
+    def test_rejects_1d(self):
+        with pytest.raises(StructuralError):
+            SamplePair(np.zeros(5), np.zeros((5, 2)))
+
+    def test_blocks_are_immutable(self):
+        pair = SamplePair(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            pair.x1[0, 0] = 1.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
-            SamplePair(DataMatrix(np.zeros((2, 3))), DataMatrix(np.zeros((3, 3))))
+            SamplePair(np.zeros((2, 3)), np.zeros((3, 3)))
 
     def test_effective_size_and_scale(self):
         rng = np.random.default_rng(0)
@@ -135,13 +131,11 @@ class TestSamplePair:
 class TestPooledScm:
     def test_scalar_hand_example(self):
         # x1 = [0, 2], x2 = [0, 0]: centered scatter 2 + 0 over n = 2 -> 1.0
-        pair = SamplePair(DataMatrix([[0.0, 2.0]]), DataMatrix([[0.0, 0.0]]))
+        pair = SamplePair([[0.0, 2.0]], [[0.0, 0.0]])
         assert pooled_scm(pair).entries[0, 0] == 1.0
 
     def test_constant_columns_give_zero(self):
-        pair = SamplePair(
-            DataMatrix(np.full((3, 4), 2.5)), DataMatrix(np.full((3, 2), -1.0))
-        )
+        pair = SamplePair(np.full((3, 4), 2.5), np.full((3, 2), -1.0))
         np.testing.assert_array_equal(pooled_scm(pair).entries, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("p,n1,n2", [(3, 5, 4), (10, 4, 3), (6, 8, 8)])
@@ -156,7 +150,7 @@ class TestPooledScm:
         rng = np.random.default_rng(p + n1)
         x1 = np.asarray(rng.standard_normal((p, n1)) * 3.0 + 1.0, order=order)
         x2 = np.asarray(rng.standard_normal((p, n2)) - 2.0, order=order)
-        s = pooled_scm(SamplePair(DataMatrix(x1), DataMatrix(x2))).entries
+        s = pooled_scm(SamplePair(x1, x2)).entries
         np.testing.assert_array_equal(s, s.T)
 
     def test_rank_deficiency_when_p_exceeds_n(self):
@@ -281,7 +275,7 @@ class TestDecomposePair:
         rng = np.random.default_rng(4)
         x1, x2 = rng.standard_normal((30, 6)), rng.standard_normal((30, 5))
         x1[0] = x2[0] = 1.5
-        pair = SamplePair(DataMatrix(x1), DataMatrix(x2))
+        pair = SamplePair(x1, x2)
         u = decompose_pair(pair).eigenvectors
         assert np.all(u[0] == 0.0)
         np.testing.assert_array_equal(u, gram_side_eigenvectors(pair))
@@ -329,7 +323,7 @@ class TestDecomposePair:
     def test_rank_deficient_data_keeps_a_zero_null_space(self):
         x = np.zeros((9, 3))
         x[0] = [1.0, -1.0, 0.0]
-        pair = SamplePair(DataMatrix(x), DataMatrix(np.zeros((9, 3))))
+        pair = SamplePair(x, np.zeros((9, 3)))
         decomp = decompose_pair(pair)
         assert decomp.eigenvectors.shape == (9, 1)
         np.testing.assert_allclose(decomp.eigenvalues, [0.5] + [0.0] * 8)
