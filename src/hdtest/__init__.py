@@ -30,7 +30,6 @@ from .shrinkage import (
     shrink_eigenvalues,
 )
 from .simulation import (
-    CovarianceModel,
     NormalitySummary,
     RocCurve,
     ScoreTable,
@@ -91,7 +90,6 @@ __all__ = [
     "cq10_score",
     "lappw_score",
     # simulation
-    "CovarianceModel",
     "make_covariance",
     "sample_sphere",
     "generate_sample",

@@ -141,9 +141,9 @@ def cmd_simulate(args) -> int:
 
     summary = {
         "covariance": {
-            "order": table.model.order,
+            "order": config.cov_order,
             "seed": model_seed(config.seed),
-            "diag": [float(x) for x in table.model.diag],
+            "diag": [float(x) for x in table.diag],
         },
         "detectors": {
             kind.value: {

@@ -73,7 +73,7 @@ class ScoreResult:
 
 def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
     """Clairvoyant detector: ||diff / sqrt(diag)||^2 in O(p) for the true
-    diagonal population covariance, a model with a `diag` vector or that vector."""
+    diagonal population covariance, given as its diagonal vector."""
     y = pair.mean_diff / np.sqrt(_pop_diag(pop_cov, pair.p))
     return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
 
@@ -168,8 +168,8 @@ def cq10_score(pair: SamplePair) -> ScoreResult:
 def lappw_score(pair: SamplePair, pop) -> ScoreResult:
     """Diagonal-loading statistic with the clairvoyantly optimized loading.
 
-    The loading maximizes the SNR proxy against the true (diagonal) population
-    covariance, so this detector is simulation-only and its performance is an
+    The loading maximizes the SNR proxy against `pop`, the true covariance's
+    diagonal, so this detector is simulation-only and its performance is an
     upper bound for any data-driven choice.  aux carries 'loading'.
     """
     decomp = pair.decomposition

@@ -52,26 +52,8 @@ _TRIAL_STREAM = 2
 _BASE_DISTS = ("uniform", "gaussian")
 
 
-@dataclass(frozen=True)
-class CovarianceModel:
-    """Diagonal population covariance: a decaying spike block then exact ones."""
-
-    diag: np.ndarray
-    order: int
-
-    def __post_init__(self):
-        diag = _pop_diag(self.diag)
-        if diag.size == 0:
-            raise StructuralError("covariance diagonal must be a nonempty vector")
-        object.__setattr__(self, "diag", _readonly(diag))
-
-    @property
-    def p(self) -> int:
-        return self.diag.size
-
-
-def make_covariance(order: int, p: int, rng: np.random.Generator) -> CovarianceModel:
-    """Build the order-P diagonal model.
+def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """The order-P diagonal population covariance, as its read-only diagonal.
 
     diag_j = 10**((41-j)*P/40) + eps_j for j = 1..40 with eps_j iid U[0,1],
     and exactly 1.0 beyond the block.  For p < 40 the spike block is
@@ -95,8 +77,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator) -> CovarianceM
         raise DomainError(
             f"covariance order {order} overflows: the spike 10**{order} leaves the float range"
         )
-    diag = np.concatenate([head, np.ones(p - k)])
-    return CovarianceModel(diag, int(order))
+    return _readonly(np.concatenate([head, np.ones(p - k)]), True)
 
 
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -115,27 +96,30 @@ def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray
 
 
 def generate_sample(
-    model: CovarianceModel,
+    diag: np.ndarray,
     mean: np.ndarray,
     n: int,
     rng: np.random.Generator,
     base_dist: str = "uniform",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Color iid mean-0 variance-1 noise by the model and shift by the mean.
+    """Color iid mean-0 variance-1 noise by sqrt(diag) and shift by the mean.
 
+    `diag` is the population covariance's diagonal, checked by _pop_diag.
     The default base distribution is uniform on [-sqrt(3), sqrt(3)]; the
     gaussian variant draws standard normals instead.  The p x n draw is made
-    in `out` if given, and returned read-only, frozen in place.
+    in `out` (of that shape) if given, and returned read-only, frozen in place.
     """
+    diag = _pop_diag(diag)
+    p = diag.size
     mean = np.asarray(mean, dtype=float)
-    if mean.shape != (model.p,):
-        raise StructuralError(
-            f"mean must have shape ({model.p},), got {mean.shape}"
-        )
+    if mean.shape != (p,):
+        raise StructuralError(f"mean must have shape ({p},), got {mean.shape}")
     if base_dist not in _BASE_DISTS:
         raise StructuralError(f"unknown base distribution {base_dist!r}")
-    u = np.empty((model.p, n)) if out is None else out
+    if out is not None and out.shape != (p, n):
+        raise StructuralError(f"out must have shape {(p, n)}, got {out.shape}")
+    u = np.empty((p, n)) if out is None else out
     if base_dist == "uniform":
         # the bits of rng.uniform(-SQRT3, SQRT3): -SQRT3 + (2 * SQRT3) * random()
         rng.random(out=u)
@@ -143,7 +127,7 @@ def generate_sample(
         u -= SQRT3
     else:
         rng.standard_normal(out=u)
-    u *= np.sqrt(model.diag)[:, None]
+    u *= np.sqrt(diag)[:, None]
     if mean.any():  # adding an all-zero mean changes no entry
         u += mean[:, None]
     return _readonly(u, True)
@@ -348,7 +332,7 @@ class ScoreTable:
     """Scores for both hypotheses, one column per surviving detector."""
 
     config: SimulationConfig
-    model: CovarianceModel
+    diag: np.ndarray
     h0: dict
     h1: dict
     absent: dict = field(default_factory=dict)
@@ -357,29 +341,29 @@ class ScoreTable:
         return tuple(k for k in self.config.detectors if k in self.h0)
 
 
-# Detector -> its score on a pair under a covariance model.  The lambdas look
-# each detector up in this module's namespace at call time, so a function
+# Detector -> its score on a pair under the population diagonal.  The lambdas
+# look each detector up in this module's namespace at call time, so a function
 # replaced there (by a tracer or a test) is the one that runs.  The detectors
 # share the pair's SCM and decomposition, which the pair forms once.
 _DETECTORS = {
-    DetectorKind.HOTELLING: lambda pair, model: hotelling_score(pair),
-    DetectorKind.PROPOSED_LW: lambda pair, model: lw_score(pair),
-    DetectorKind.BS96: lambda pair, model: bs96_score(pair),
-    DetectorKind.CQ10: lambda pair, model: cq10_score(pair),
-    DetectorKind.LAPPW: lambda pair, model: lappw_score(pair, model),
-    DetectorKind.MAHALANOBIS_ORACLE: lambda pair, model: mahalanobis_score(pair, model),
+    DetectorKind.HOTELLING: lambda pair, diag: hotelling_score(pair),
+    DetectorKind.PROPOSED_LW: lambda pair, diag: lw_score(pair),
+    DetectorKind.BS96: lambda pair, diag: bs96_score(pair),
+    DetectorKind.CQ10: lambda pair, diag: cq10_score(pair),
+    DetectorKind.LAPPW: lambda pair, diag: lappw_score(pair, diag),
+    DetectorKind.MAHALANOBIS_ORACLE: lambda pair, diag: mahalanobis_score(pair, diag),
 }
 
 
 def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
-    """The trial engine: (model, scores, failures).
+    """The trial engine: (diag, scores, failures).
 
     scores holds one {detector: array} per hypothesis; the (trial, hypothesis)
     pair (t, h) writes slot t of hypothesis h's arrays.
     Trial t under hypothesis h draws from its own stream trial_seed(seed, t, h):
     under H0 both group means are zero, and under H1 the group 1 mean is
-    drawn first, fresh from the radius sphere.  The covariance model's eps
-    draws are fixed once per run.
+    drawn first, fresh from the radius sphere.  The population diagonal's
+    eps draws are fixed once per run.
 
     failures maps each detector that raised a DomainError to its first
     failure in (t, h) order; its keys run in order of that t, then of
@@ -392,7 +376,7 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     memory; no pair outlives its call, as a kept failure holds no traceback.
     """
     model_rng = np.random.default_rng(np.random.SeedSequence(model_seed(config.seed)))
-    model = make_covariance(config.cov_order, config.p, model_rng)
+    diag = make_covariance(config.cov_order, config.p, model_rng)
     zeros = np.zeros(config.p)
     scores = {h: {k: np.empty(config.trials) for k in config.detectors} for h in hypotheses}
     first = {}  # detector -> ((trial, hypothesis), error), the earliest failure so far
@@ -408,13 +392,13 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
         rng = _trial_rng(config.seed, t, h)
         mu = sample_sphere(config.p, config.radius, rng) if h else zeros
         x1 = _take(ws, "x1", (config.p, config.n1))
-        x1 = generate_sample(model, mu, config.n1, rng, config.base_dist, out=x1)
+        x1 = generate_sample(diag, mu, config.n1, rng, config.base_dist, out=x1)
         x2 = _take(ws, "x2", (config.p, config.n2))
-        x2 = generate_sample(model, zeros, config.n2, rng, config.base_dist, out=x2)
+        x2 = generate_sample(diag, zeros, config.n2, rng, config.base_dist, out=x2)
         pair = SamplePair(x1, x2, _workspace=ws)
         for kind in kinds:
             try:
-                scores[h][kind][t] = _DETECTORS[kind](pair, model).score
+                scores[h][kind][t] = _DETECTORS[kind](pair, diag).score
             except DomainError as exc:
                 with lock:
                     if kind not in first or first[kind][0] > (t, h):
@@ -422,7 +406,7 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
 
     _map_pairs(one_pair, config.trials, hypotheses)
     order = sorted(first, key=lambda k: (first[k][0][0], config.detectors.index(k)))
-    return model, tuple(scores.values()), {k: first[k][1] for k in order}
+    return diag, tuple(scores.values()), {k: first[k][1] for k in order}
 
 
 def run_trials(config: SimulationConfig) -> ScoreTable:
@@ -432,10 +416,10 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
     detector that failed its precondition on any trial is dropped entirely,
     with the first failure in trial order as the reason.
     """
-    model, scores, failures = _run(config, SIMULATE_HYPOTHESES)
+    diag, scores, failures = _run(config, SIMULATE_HYPOTHESES)
     h0, h1 = ({k: _readonly(v) for k, v in s.items() if k not in failures} for s in scores)
     absent = {k: str(exc) for k, exc in failures.items()}
-    return ScoreTable(config=config, model=model, h0=h0, h1=h1, absent=absent)
+    return ScoreTable(config=config, diag=diag, h0=h0, h1=h1, absent=absent)
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,9 @@ class SamplePair:
     is kept as a read-only copy of the caller's array.
 
     The group means xbar1, xbar2 and their difference mean_diff are computed
-    once, at construction.  The pooled covariance `scm` and its
-    `decomposition` are formed on first use and then kept for the pair's
-    lifetime.  The caches are plain attributes with no lock: two threads
+    once, at construction, and frozen in place.  The pooled covariance `scm`
+    and its `decomposition` are formed on first use and then kept for the
+    pair's lifetime.  The caches are plain attributes with no lock: two threads
     that first read one at the same time may each form it.
 
     With the engine's `_workspace` (see _take) the pair forms its arrays in
@@ -104,9 +104,8 @@ class SamplePair:
             mean_diff = xbar1 - xbar2
         if not np.all(np.isfinite(mean_diff)):
             raise DomainError("group mean overflows the float range")
-        object.__setattr__(self, "xbar1", xbar1)
-        object.__setattr__(self, "xbar2", xbar2)
-        object.__setattr__(self, "mean_diff", mean_diff)
+        for name, v in (("xbar1", xbar1), ("xbar2", xbar2), ("mean_diff", mean_diff)):
+            object.__setattr__(self, name, _readonly(v, True))
         object.__setattr__(self, "_ws", _workspace)
         object.__setattr__(self, "_scm", None)
         object.__setattr__(self, "_decomposition", None)

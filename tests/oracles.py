@@ -133,16 +133,16 @@ class OracleDiagnostics(NamedTuple):
 def oracle_diagnostics(decomp, dhat, pop, interval=(0.0, math.inf)):
     """Compare shrunk eigenvalues with the oracle variances u_i' R u_i.
 
-    R is the true diagonal population covariance (a model with a `diag`
-    vector, or the vector itself).  The bias averages (dhat_j - sigma2_j)
-    over the directions whose *sample* eigenvalue falls inside the closed
-    interval, normalized by p.  Every direction's eigenvector is needed, so
-    a range-plus-null decomposition is rejected.
+    R is the true diagonal population covariance, given as its diagonal
+    vector.  The bias averages (dhat_j - sigma2_j) over the directions whose
+    *sample* eigenvalue falls inside the closed interval, normalized by p.
+    Every direction's eigenvector is needed, so a range-plus-null
+    decomposition is rejected.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo <= hi:
         raise StructuralError(f"empty interval [{lo}, {hi}]")
-    diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
+    diag = np.asarray(pop, dtype=float)
     u = decomp.eigenvectors
     p = decomp.p
     if diag.shape != (p,) or np.shape(dhat) != (p,):
@@ -153,6 +153,24 @@ def oracle_diagnostics(decomp, dhat, pop, interval=(0.0, math.inf)):
     inside = [i for i in range(p) if lo <= decomp.eigenvalues[i] <= hi]
     bias = sum(float(dhat[i]) - sigma2[i] for i in inside) / p
     return OracleDiagnostics(sigma2, bias)
+
+
+def null_moments(decomp, dhat, diag):
+    """tr(D^-1 M) and tr((D^-1 M)^2), with M = U'RU formed densely.
+
+    U is the decomposition's full eigenbasis, D = diag(dhat) and R = diag(diag)
+    the true population covariance.  Given the estimate U D U', these are the
+    mean and half the variance of the H0 quadratic form w'(U D U')^{-1} w for
+    w ~ N(0, R) (see TestNullMoments in test_shrinkage.py).  A range-plus-null
+    decomposition is rejected.
+    """
+    u = decomp.eigenvectors
+    p = decomp.p
+    diag = np.asarray(diag, dtype=float)
+    if u.shape != (p, p) or diag.shape != (p,) or np.shape(dhat) != (p,):
+        raise StructuralError("needs a full eigenbasis and length-p dhat and diag")
+    a = (u.T @ (diag[:, None] * u)) / np.asarray(dhat, dtype=float)[:, None]  # D^-1 M
+    return float(np.trace(a)), float(np.sum(a * a.T))
 
 
 def mahalanobis_cholesky(diff, cov):
@@ -224,7 +242,7 @@ def loading_search_scalar(decomp, pop):
     one at a time, each as a length-p vector expression, and the golden
     section refines the bracket around the best of them.
     """
-    diag = np.asarray(getattr(pop, "diag", pop), dtype=float)
+    diag = np.asarray(pop)
     lam = decomp.eigenvalues
     u = decomp.eigenvectors
     p = decomp.p

@@ -100,7 +100,7 @@ def norm_oracle(order: int) -> tuple[float, float]:
     )
     k = config.n1 * config.n2 / (config.n1 + config.n2)
     auc = norm_detector_auc(
-        model.diag, k, config.radius, NORM_ORACLE_DRAWS, NORM_ORACLE_SEED
+        model, k, config.radius, NORM_ORACLE_DRAWS, NORM_ORACLE_SEED
     )
     tol = 3.0 * (
         hanley_mcneil_se(auc, config.trials, config.trials)
@@ -378,7 +378,7 @@ def test_criterion_8_oracle_equivalences():
     decomp = spectral_decompose(pooled_scm(pair))
     res = optimize_loading(decomp, model)
     s = (decomp.eigenvectors * decomp.eigenvalues) @ decomp.eigenvectors.T
-    r = np.diag(model.diag)
+    r = np.diag(model)
     m = float(decomp.eigenvalues.mean())
     grid = np.exp(np.linspace(math.log(1e-6 * m), math.log(1e6 * m), 2000))
     best_grid = max(snr_proxy_dense(s + lam * np.eye(20), r) for lam in grid)

@@ -25,7 +25,6 @@ from hdtest.errors import (
     StructuralError,
 )
 from hdtest.simulation import (
-    CovarianceModel,
     blas_pinned,
     generate_sample,
     make_covariance,
@@ -89,7 +88,7 @@ class TestMahalanobis:
 
 class TestPopulationReader:
     """Both clairvoyant detectors read the true covariance through one reader:
-    a length-p vector of finite positive entries, or a model holding one."""
+    its diagonal, a length-p vector of finite positive entries."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("score", [mahalanobis_score, lappw_score])
@@ -100,16 +99,21 @@ class TestPopulationReader:
             (np.ones(4), StructuralError),
             (np.eye(5), StructuralError),
             (SymMatrix(np.eye(5)), StructuralError),
+            ([[1.0], [1.0, 2.0], [1.0], [1.0], [1.0]], StructuralError),
+            (np.array([]), StructuralError),
             (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), StructuralError),
             (np.array([1.0, 0.0, 1.0, 1.0, 1.0]), SingularCovarianceError),
             (np.array([1.0, -2.0, 1.0, 1.0, 1.0]), SingularCovarianceError),
         ],
-        ids=["vector", "wrong-length", "2-d", "symmatrix", "nan", "zero", "negative"],
+        ids=[
+            "vector", "wrong-length", "2-d", "symmatrix", "ragged", "empty",
+            "nan", "zero", "negative",
+        ],
     )
     def test_population_diagonal(self, score, pop, error):
         pair = random_pair(np.random.default_rng(3), 5, 8, 7)
         if error is None:
-            assert score(pair, pop).score == score(pair, CovarianceModel(pop, 0)).score
+            assert score(pair, pop).score >= 0.0
         else:
             with pytest.raises(error):
                 score(pair, pop)
@@ -307,7 +311,7 @@ class TestLappw:
         base = lappw_score(pair, model).score
         c = 3.0
         scaled_pair = SamplePair(c * x1, c * x2)
-        scaled = lappw_score(scaled_pair, c * c * model.diag).score
+        scaled = lappw_score(scaled_pair, c * c * model).score
         assert scaled == pytest.approx(base, rel=1e-5)
 
 
@@ -352,7 +356,7 @@ class TestGramSide:
             assert bs96_score(pair).score == pytest.approx(want["bs96"], rel=1e-12, abs=0)
             assert pair.decomposition.eigenvectors.shape == (p, pair.n)
             oracle = mahalanobis_score(pair, model).score
-            assert oracle == mahalanobis_cholesky(pair.mean_diff, np.diag(model.diag))
+            assert oracle == mahalanobis_cholesky(pair.mean_diff, np.diag(model))
 
     @staticmethod
     def close(got, want):
@@ -489,7 +493,7 @@ class TestDiagonalOracle:
         p = 200
         rng = np.random.default_rng(10 + order)
         model = make_covariance(order, p, rng)
-        dense = np.diag(model.diag)
+        dense = np.diag(model)
         with blas_pinned():
             for _ in range(50):
                 mu = sample_sphere(p, 1.0, rng)

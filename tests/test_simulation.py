@@ -19,9 +19,13 @@ from scipy import stats
 import hdtest
 from hdtest import simulation, spectral
 from hdtest.detectors import DetectorKind
-from hdtest.errors import DomainError, StructuralError, UnsupportedAspectRatioError
+from hdtest.errors import (
+    DomainError,
+    SingularCovarianceError,
+    StructuralError,
+    UnsupportedAspectRatioError,
+)
 from hdtest.simulation import (
-    CovarianceModel,
     RocCurve,
     SimulationConfig,
     blas_pinned,
@@ -50,8 +54,7 @@ SHAPES = (({}, ()), (dict(p=40, n1=9, n2=8), (DetectorKind.HOTELLING,)))
 class TestMakeCovariance:
     def test_flat_model_ranges(self):
         rng = np.random.default_rng(0)
-        model = make_covariance(0, 100, rng)
-        d = model.diag
+        d = make_covariance(0, 100, rng)
         assert d.size == 100
         # head: 10**0 + U[0,1) in [1, 2); tail exactly 1.0
         assert np.all((d[:40] >= 1.0) & (d[:40] < 2.0))
@@ -59,8 +62,7 @@ class TestMakeCovariance:
 
     def test_decay_endpoints_follow_formula(self):
         rng = np.random.default_rng(1)
-        model = make_covariance(2, 50, rng)
-        d = model.diag
+        d = make_covariance(2, 50, rng)
         # j = 1: 10**(40*2/40) = 100 plus U[0,1)
         assert 100.0 <= d[0] < 101.0
         # j = 40: 10**(1*2/40) = 10**0.05 plus U[0,1)
@@ -72,26 +74,26 @@ class TestMakeCovariance:
     def test_strong_decay_spike(self):
         rng = np.random.default_rng(2)
         model = make_covariance(4, 60, rng)
-        assert 1e4 <= model.diag[0] < 1e4 + 1.0
-        np.testing.assert_array_equal(model.diag[40:], np.ones(20))
+        assert 1e4 <= model[0] < 1e4 + 1.0
+        np.testing.assert_array_equal(model[40:], np.ones(20))
 
     def test_truncation_warns_and_sizes_draw(self):
         with pytest.warns(UserWarning, match="truncated"):
             model = make_covariance(0, 10, np.random.default_rng(3))
-        assert model.p == 10
-        assert np.all(model.diag >= 1.0)
+        assert model.size == 10
+        assert np.all(model >= 1.0)
 
     def test_full_block_at_p_40_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model = make_covariance(2, 40, np.random.default_rng(3))
         wider = make_covariance(2, 41, np.random.default_rng(3))
-        np.testing.assert_array_equal(model.diag, wider.diag[:40])
+        np.testing.assert_array_equal(model, wider[:40])
 
     def test_same_rng_state_reproduces(self):
         a = make_covariance(2, 50, np.random.default_rng(7))
         b = make_covariance(2, 50, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.diag, b.diag)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(0)
@@ -106,14 +108,11 @@ class TestMakeCovariance:
         with pytest.raises(DomainError, match="covariance order 309 overflows"):
             make_covariance(309, 50, np.random.default_rng(0))
 
-    def test_model_object(self):
-        model = CovarianceModel(np.array([2.0, 1.0]), 0)
-        np.testing.assert_array_equal(model.diag, [2.0, 1.0])
-        assert model.p == 2
-        with pytest.raises(DomainError):
-            CovarianceModel(np.array([1.0, 0.0]), 0)
-        with pytest.raises(StructuralError, match="not a vector"):
-            CovarianceModel([[1], [1, 2]], 0)  # ragged
+    def test_returns_a_read_only_float_vector(self):
+        diag = make_covariance(2, 50, np.random.default_rng(0))
+        assert diag.dtype == np.float64 and diag.shape == (50,)
+        with pytest.raises(ValueError):
+            diag[0] = 1.0
 
 
 class TestSampleSphere:
@@ -144,47 +143,64 @@ class TestSampleSphere:
 
 class TestGenerateSample:
     def test_shape_and_bounded_support(self):
-        model = CovarianceModel(np.array([1.0, 4.0]), 0)
+        model = np.array([1.0, 4.0])
         mean = np.array([10.0, -10.0])
         x = generate_sample(model, mean, 500, np.random.default_rng(0))
         assert x.shape == (2, 500)
         centered = x - mean[:, None]
-        bound = math.sqrt(3.0) * np.sqrt(model.diag)
+        bound = math.sqrt(3.0) * np.sqrt(model)
         assert np.all(np.abs(centered) <= bound[:, None] + 1e-12)
 
     def test_variance_matches_model(self):
-        model = CovarianceModel(np.array([1.0, 4.0]), 0)
+        model = np.array([1.0, 4.0])
         x = generate_sample(model, np.zeros(2), 20000, np.random.default_rng(1))
         v = x.var(axis=1)
         np.testing.assert_allclose(v, [1.0, 4.0], rtol=0.05)
 
     def test_gaussian_base_exceeds_uniform_bound(self):
-        model = CovarianceModel(np.ones(1), 0)
+        model = np.ones(1)
         x = generate_sample(model, np.zeros(1), 5000, np.random.default_rng(2), "gaussian")
         assert np.max(np.abs(x)) > math.sqrt(3.0)
 
     def test_rejects_unknown_base(self):
-        model = CovarianceModel(np.ones(1), 0)
+        model = np.ones(1)
         with pytest.raises(StructuralError):
             generate_sample(model, np.zeros(1), 5, np.random.default_rng(0), "cauchy")
 
     def test_rejects_mean_shape_mismatch(self):
-        model = CovarianceModel(np.ones(2), 0)
+        model = np.ones(2)
         with pytest.raises(StructuralError):
             generate_sample(model, np.zeros(3), 5, np.random.default_rng(0))
+
+    def test_checks_the_population_diagonal(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(SingularCovarianceError):
+            generate_sample(np.array([1.0, 0.0]), np.zeros(2), 5, rng)
+        with pytest.raises(StructuralError, match="not a vector"):
+            generate_sample([[1], [1, 2]], np.zeros(2), 5, rng)  # ragged
+        with pytest.raises(StructuralError, match="nonempty"):
+            generate_sample(np.array([]), np.zeros(0), 5, rng)
+
+    def test_rejects_out_of_the_wrong_shape(self):
+        # too many columns would be filled whole, a wrong p would not broadcast
+        for shape in ((3, 7), (4, 5)):
+            with pytest.raises(StructuralError, match=r"out must have shape \(3, 5\)"):
+                generate_sample(
+                    np.ones(3), np.zeros(3), 5, np.random.default_rng(0), out=np.empty(shape)
+                )
 
     @pytest.mark.parametrize("shift", [0.0, 0.75])
     @pytest.mark.parametrize("base", ["uniform", "gaussian"])
     def test_draw_into_out_has_the_sized_draws_bits(self, base, shift):
         # the reference is the sized numpy call, colored and shifted
-        model = CovarianceModel(np.linspace(0.5, 30.0, 7), 0)
+        model = np.linspace(0.5, 30.0, 7)
         mean = shift * np.arange(-3.0, 4.0)
         rng = np.random.default_rng(9)
         if base == "uniform":
             u = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(7, 13))
         else:
             u = rng.standard_normal(size=(7, 13))
-        want = u * np.sqrt(model.diag)[:, None] + mean[:, None]
+        want = u * np.sqrt(model)[:, None] + mean[:, None]
         buf = np.full((7, 13), np.nan)
         got = generate_sample(model, mean, 13, np.random.default_rng(9), base, out=buf[...])
         fresh = generate_sample(model, mean, 13, np.random.default_rng(9), base)
@@ -299,7 +315,7 @@ class TestRunTrials:
             for kind in a.present():
                 np.testing.assert_array_equal(a.h0[kind], b.h0[kind])
                 np.testing.assert_array_equal(a.h1[kind], b.h1[kind])
-            np.testing.assert_array_equal(a.model.diag, b.model.diag)
+            np.testing.assert_array_equal(a.diag, b.diag)
 
     def test_hotelling_dropped_when_p_exceeds_n(self, monkeypatch):
         cfg = SimulationConfig(p=24, n1=6, n2=6, trials=2, seed=1)

@@ -83,7 +83,8 @@ class TestCopyContract:
         x2 = generate_sample(model, np.zeros(p), 9, rng)
         pair = SamplePair(x1, x2)
         made = [pair.scm, pair.decomposition, spectral_decompose(pair.scm.entries)]
-        for a in [x1, x2] + [a for obj in made for a in kept_arrays(obj)]:
+        means = [pair.xbar1, pair.xbar2, pair.mean_diff]
+        for a in [x1, x2] + means + [a for obj in made for a in kept_arrays(obj)]:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
@@ -303,8 +304,8 @@ class TestDecomposePair:
             ds = [dhat, vals + loading.lambda_star] + ([vals] if np.all(vals > 0.0) else [])
             for d in ds:
                 assert quad_form_inverse(flipped, d, v) == quad_form_inverse(base, d, v)
-            want = weighted_norms(base, pop.diag)
-            assert weighted_norms(flipped, pop.diag).tobytes() == want.tobytes()
+            want = weighted_norms(base, pop)
+            assert weighted_norms(flipped, pop).tobytes() == want.tobytes()
             uf, ub = flipped.eigenvectors, base.eigenvectors
             want = (ub * dhat[:r]) @ ub.T
             assert ((uf * dhat[:r]) @ uf.T).tobytes() == want.tobytes()
