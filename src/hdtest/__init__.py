@@ -45,7 +45,6 @@ from .simulation import (
 from .spectral import (
     SamplePair,
     SpectralDecomposition,
-    SymMatrix,
     decompose_pair,
     pooled_scm,
     quad_form_inverse,
@@ -68,7 +67,6 @@ __all__ = [
     "DegenerateVarianceError",
     # spectral core
     "SamplePair",
-    "SymMatrix",
     "SpectralDecomposition",
     "pooled_scm",
     "spectral_decompose",

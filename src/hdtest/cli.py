@@ -39,7 +39,6 @@ from .simulation import (
     write_scores_csv,
 )
 from .spectral import (
-    SymMatrix,
     _write_csv,
     read_matrix_csv,
     spectral_decompose,
@@ -202,10 +201,9 @@ def cmd_shrink(args) -> int:
     t0 = time.perf_counter()
     if args.n < 1:
         raise StructuralError(f"--n must be >= 1, got {args.n}")
-    sym = SymMatrix(read_matrix_csv(args.matrix))
     with blas_pinned() as held:
-        decomp = spectral_decompose(sym)
-        dhat = shrink_eigenvalues(decomp, args.n, sym.p)
+        decomp = spectral_decompose(read_matrix_csv(args.matrix))
+        dhat = shrink_eigenvalues(decomp, args.n, decomp.p)
         u = decomp.eigenvectors
         rlw = (u * dhat) @ u.T
 

@@ -124,7 +124,7 @@ def bs96_score(pair: SamplePair) -> ScoreResult:
             tr = float(lam.sum())
             tr2 = float(lam @ lam)
         else:
-            s = pair.scm.entries
+            s = pair.scm
             tr = float(np.trace(s))
             tr2 = float(np.sum(s * s))
     bn = n * n / ((n + 2.0) * (n - 1.0)) * (tr2 - tr * tr / n)

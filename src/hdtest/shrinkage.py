@@ -21,7 +21,7 @@ from .errors import (
     StructuralError,
     UnsupportedAspectRatioError,
 )
-from .spectral import SpectralDecomposition, _require_finite, weighted_norms
+from .spectral import SpectralDecomposition, _finite_array, weighted_norms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -127,7 +127,6 @@ def shrink_eigenvalues(
         raise DegenerateSpectrumError("negative sample eigenvalue: input is not PSD")
     if evs.size == 0:
         raise DomainError("empty eigenvalue set")
-    _require_finite(evs, "eigenvalues")
     ratio = p / n
     m = min(n, p)
     retained = evs[:m]
@@ -161,16 +160,12 @@ def _pop_diag(pop, p: int | None = None) -> np.ndarray:
     """The one reader of a population covariance, given as its diagonal: a
     nonempty 1-D vector, of length p if p is given, with finite entries
     (else StructuralError) that are positive (else SingularCovarianceError)."""
-    try:
-        diag = np.asarray(pop, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"population diagonal is not a vector: {exc}") from exc
+    diag = _finite_array(pop, "population diagonal")
     want = (diag.size if p is None else p,)
     if diag.shape != want:
         raise StructuralError(f"population diagonal must have shape {want}, got {diag.shape}")
     if diag.size == 0:
         raise StructuralError("population diagonal must be a nonempty vector")
-    _require_finite(diag, "population diagonal")
     if np.any(diag <= 0.0):
         raise SingularCovarianceError("population diagonal must be positive")
     return diag

@@ -52,14 +52,25 @@ _TRIAL_STREAM = 2
 _BASE_DISTS = ("uniform", "gaussian")
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int, so it serializes as JSON and a float such as
+    2.5 cannot pass for an integer; a bool or a non-integer is a StructuralError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise StructuralError(f"{name} must be an integer, got {value!r}")
+
+
 def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """The order-P diagonal population covariance, as its read-only diagonal.
 
     diag_j = 10**((41-j)*P/40) + eps_j for j = 1..40 with eps_j iid U[0,1],
     and exactly 1.0 beyond the block.  For p < 40 the spike block is
     truncated to p (with a warning); the eps draw is sized to the truncated
-    block.  An order whose spike leaves the float range raises DomainError.
+    block.  order and p are integers (else StructuralError).  An order whose
+    spike leaves the float range raises DomainError.
     """
+    order, p = _integer("order", order), _integer("p", p)
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
     if order < 0:
@@ -82,6 +93,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the sphere of the given radius (normalized Gaussian)."""
+    p = _integer("p", p)
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
     if not (math.isfinite(radius) and radius >= 0.0):
@@ -107,18 +119,23 @@ def generate_sample(
 
     `diag` is the population covariance's diagonal, checked by _pop_diag.
     The default base distribution is uniform on [-sqrt(3), sqrt(3)]; the
-    gaussian variant draws standard normals instead.  The p x n draw is made
-    in `out` (of that shape) if given, and returned read-only, frozen in place.
+    gaussian variant draws standard normals instead.  n is an integer >= 1.
+    The p x n draw is made in `out` (a float64 array of that shape) if given,
+    and returned read-only, frozen in place.
     """
     diag = _pop_diag(diag)
-    p = diag.size
+    p, n = diag.size, _integer("n", n)
+    if n < 1:
+        raise StructuralError(f"n must be >= 1, got {n}")
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (p,):
         raise StructuralError(f"mean must have shape ({p},), got {mean.shape}")
     if base_dist not in _BASE_DISTS:
         raise StructuralError(f"unknown base distribution {base_dist!r}")
-    if out is not None and out.shape != (p, n):
-        raise StructuralError(f"out must have shape {(p, n)}, got {out.shape}")
+    if out is not None and (out.shape, out.dtype) != ((p, n), np.float64):
+        raise StructuralError(
+            f"out must have shape {(p, n)} and dtype float64, got {out.shape} {out.dtype}"
+        )
     u = np.empty((p, n)) if out is None else out
     if base_dist == "uniform":
         # the bits of rng.uniform(-SQRT3, SQRT3): -SQRT3 + (2 * SQRT3) * random()
@@ -148,16 +165,8 @@ class SimulationConfig:
     base_dist: str = "uniform"
 
     def __post_init__(self):
-        # Integer fields are stored as Python ints, so they serialize as JSON
-        # and a float such as 2.5 cannot pass for the integer the run records.
         for name in ("p", "n1", "n2", "cov_order", "trials", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise StructuralError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.p < 1:
             raise StructuralError(f"p must be >= 1, got {self.p}")
         if self.n1 < 2 or self.n2 < 2:

@@ -5,7 +5,9 @@ pooled sample covariance and its eigendecomposition, so the conventions are
 pinned here once: eigenvalues in non-increasing order, and a relative clip
 that maps tiny negative eigenvalues of a PSD matrix to exactly zero.
 
-A sample pair owns its pooled covariance (`pair.scm`) and its
+Symmetric input is a plain square array: `spectral_decompose` is the one
+place that checks it is finite and symmetric within SYMMETRY_ATOL.  A sample
+pair owns its pooled covariance (`pair.scm`, a read-only p x p array) and its
 decomposition (`pair.decomposition`, formed by `decompose_pair`), each formed
 on first use and then kept, so every statistic read off one pair shares them.
 When p > n1 + n2 the pooled covariance has rank at most n1 + n2 - 2, and its
@@ -54,9 +56,16 @@ def _take(workspace: dict | None, name: str, shape: tuple) -> np.ndarray:
     return a[...]
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+def _finite_array(a, what: str) -> np.ndarray:
+    """a as a float array with finite entries (an ndarray of floats is not
+    copied); a ragged, non-numeric or non-finite a is a StructuralError."""
+    try:
+        out = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{what} is not a vector or matrix of numbers: {exc}") from exc
+    if not np.all(np.isfinite(out)):
         raise StructuralError(f"{what} contains non-finite entries")
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,11 @@ class SamplePair:
 
     def __post_init__(self, _workspace):
         for name in ("x1", "x2"):
-            e = np.asarray(getattr(self, name), dtype=float)
+            e = _finite_array(getattr(self, name), "data matrix")
             if e.ndim != 2:
                 raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
             if e.shape[1] < 2:
                 raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
-            _require_finite(e, "data matrix")
             object.__setattr__(self, name, _readonly(e, _workspace is not None))
         x1, x2 = self.x1, self.x2
         if x1.shape[0] != x2.shape[0]:
@@ -111,8 +119,8 @@ class SamplePair:
         object.__setattr__(self, "_decomposition", None)
 
     @property
-    def scm(self) -> SymMatrix:
-        """The pooled sample covariance, pooled_scm(self)."""
+    def scm(self) -> np.ndarray:
+        """The pooled sample covariance, pooled_scm(self): read-only, p x p."""
         if self._scm is None:
             object.__setattr__(self, "_scm", pooled_scm(self))
         return self._scm
@@ -152,36 +160,6 @@ class SamplePair:
         return self.n1 * self.n2 / (self.n1 + self.n2)
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """A square symmetric matrix with finite entries.
-
-    The entries are a read-only copy of the caller's array.  `_owned=True`
-    is for a matrix the library has just made and checked finite (see
-    `_covariance`): it is frozen in place.
-    """
-
-    entries: np.ndarray
-    _owned: InitVar[bool] = False
-
-    def __post_init__(self, _owned):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise StructuralError(f"expected a square matrix, got shape {e.shape}")
-        if not _owned:  # a library-made matrix was checked finite by its maker
-            _require_finite(e, "matrix")
-        # An exactly symmetric matrix passes without the tolerance's temporaries.
-        if not np.array_equal(e, e.T):
-            scale = max(1.0, float(np.max(np.abs(e))))
-            if np.max(np.abs(e - e.T)) > SYMMETRY_ATOL * scale:
-                raise StructuralError("matrix is not symmetric")
-        object.__setattr__(self, "entries", _readonly(e, _owned))
-
-    @property
-    def p(self) -> int:
-        return self.entries.shape[0]
-
-
 @dataclass(frozen=True, init=False)
 class SpectralDecomposition:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
@@ -190,8 +168,8 @@ class SpectralDecomposition:
     form, a p x r block for the first r eigenvalues; the remaining p - r
     eigenvalues are then exactly 0 and belong to the orthogonal complement
     of the block, which is never formed.  Both arrays are read-only copies of
-    the caller's; `_owned=True` freezes arrays the library has just made in
-    place instead.
+    the caller's, which must be finite; `_owned=True` freezes arrays the
+    library has just made in place instead.
 
     A Gram-side decomposition (see decompose_pair) keeps its p x r block
     factored as C B, the p x N centred data times an N x r factor.  Reading
@@ -205,9 +183,12 @@ class SpectralDecomposition:
     def __init__(self, eigenvalues, eigenvectors, _owned=False, _factors=None):
         # _factors=(c, b), with eigenvectors None, is decompose_pair's
         # factored block c @ b, from arrays the library has just made
-        vals = _readonly(eigenvalues, _owned)
+        def keep(a, what):
+            return _readonly(a if _owned else _finite_array(a, what), _owned)
+
+        vals = keep(eigenvalues, "eigenvalues")
         if _factors is None:
-            vecs, c, b = _readonly(eigenvectors, _owned), None, None
+            vecs, c, b = keep(eigenvectors, "eigenvectors"), None, None
             if vecs.ndim != 2:
                 raise StructuralError("inconsistent decomposition shapes")
             p, r = vecs.shape
@@ -236,12 +217,13 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def _covariance(s: np.ndarray) -> SymMatrix:
-    """A covariance the library just formed from finite data; products past
-    the float range are a domain failure of the sample, not malformed input."""
+def _covariance(s: np.ndarray) -> np.ndarray:
+    """A covariance the library just formed from finite data, frozen in place;
+    products past the float range are a domain failure of the sample, not
+    malformed input."""
     if not np.all(np.isfinite(s)):
         raise DomainError("pooled sample covariance overflows")
-    return SymMatrix(s, _owned=True)
+    return _readonly(s, True)
 
 
 def _centred(pair: SamplePair) -> np.ndarray:
@@ -252,14 +234,14 @@ def _centred(pair: SamplePair) -> np.ndarray:
     return c
 
 
-def pooled_scm(pair: SamplePair) -> SymMatrix:
+def pooled_scm(pair: SamplePair) -> np.ndarray:
     """Pooled sample covariance of the two groups.
 
     S = (1/n) * sum over groups of sum of (x - group mean) outer products,
     with n = n1 + n2 - 2.  Each group's product is one C C' of its half of
     the centred block, which numpy forms with a symmetric rank-k update
-    (syrk) and mirrors, so S is exactly symmetric.  Finite data whose
-    products overflow raise DomainError.
+    (syrk) and mirrors, so S is exactly symmetric.  S is returned read-only.
+    Finite data whose products overflow raise DomainError.
     """
     c = _centred(pair)
     c1, c2 = c[:, : pair.n1], c[:, pair.n1 :]
@@ -271,9 +253,12 @@ def pooled_scm(pair: SamplePair) -> SymMatrix:
     return _covariance(s)
 
 
-def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
+def spectral_decompose(m) -> SpectralDecomposition:
     """Full symmetric eigendecomposition, eigenvalues in non-increasing order.
 
+    `m` is any square array with finite entries that is symmetric within
+    SYMMETRY_ATOL times its largest magnitude (at least 1), else
+    StructuralError; nothing keeps it, so later writes to it change nothing.
     The eigenvectors are LAPACK's, signs included: every statistic reads
     them only through squares and products U D U', so no output depends on
     a sign.  They come as one new C-ordered array, the layout whose BLAS
@@ -284,9 +269,15 @@ def spectral_decompose(m: SymMatrix | np.ndarray) -> SpectralDecomposition:
     masquerade as a positive eigenvalue.  More-negative values are kept so
     callers can reject genuinely indefinite matrices.
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(m)
-    vals, vecs = np.linalg.eigh(m.entries)
+    m = _finite_array(m, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StructuralError(f"expected a square matrix, got shape {m.shape}")
+    # An exactly symmetric matrix passes without the tolerance's temporaries.
+    if not np.array_equal(m, m.T):
+        scale = max(1.0, float(np.max(np.abs(m))))
+        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL * scale:
+            raise StructuralError("matrix is not symmetric")
+    vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1].copy()
     top = vals[0]
     if top > 0.0:
@@ -334,14 +325,12 @@ def quad_form_inverse(
     p x r) the null entries d[r:] must all be equal, and the null part adds
     (||v||^2 - ||U'v||^2) / d[r].
     """
-    d = np.asarray(d, dtype=float)
-    v = np.asarray(v, dtype=float)
+    d = _finite_array(d, "eigenvalue vector")
+    v = _finite_array(v, "vector")
     if d.shape != (decomp.p,) or v.shape != (decomp.p,):
         raise StructuralError(
             f"expected length-{decomp.p} vectors, got {d.shape} and {v.shape}"
         )
-    _require_finite(d, "eigenvalue vector")
-    _require_finite(v, "vector")
     if np.any(d <= 0.0):
         raise DomainError("non-positive eigenvalue: matrix is not positive definite")
     if decomp._b is not None:  # a factored block: U'v = B'(C'v)
@@ -393,8 +382,7 @@ def read_matrix_csv(path) -> np.ndarray:
         raise StructuralError(f"{path}: {str(exc).split('; use', 1)[0]}") from exc
     if out.size == 0:
         raise StructuralError(f"{path}: empty matrix file")
-    _require_finite(out, f"{path}")
-    return out
+    return _finite_array(out, f"{path}")
 
 
 def _write_csv(path, header: str | None, rows) -> None:

@@ -190,7 +190,7 @@ def dense_path_scores(pair, pop, lw=True):
     pair's pooled_scm; bs96 takes tr S and ||S||_F^2 from the dense matrix.
     lw=False leaves lw out, for a spectrum its shrinkage rejects.
     """
-    s = pooled_scm(pair).entries
+    s = pooled_scm(pair)
     full = spectral_decompose(s)
     n, p, k, v = pair.n, pair.p, pair.diff_scale, pair.mean_diff
     loading = optimize_loading(full, pop).lambda_star

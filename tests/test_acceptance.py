@@ -43,7 +43,6 @@ from hdtest.simulation import (
 from hdtest.spectral import (
     SamplePair,
     SpectralDecomposition,
-    SymMatrix,
     pooled_scm,
     quad_form_inverse,
     spectral_decompose,
@@ -362,7 +361,7 @@ def test_criterion_8_oracle_equivalences():
         p = int(rng.integers(5, 51))
         a = rng.standard_normal((p, p + 10))
         mat = a @ a.T / (p + 10)
-        decomp = spectral_decompose(SymMatrix(mat))
+        decomp = spectral_decompose(mat)
         v = rng.standard_normal(p)
         got = quad_form_inverse(decomp, decomp.eigenvalues, v)
         want = float(v @ np.linalg.solve(mat, v))

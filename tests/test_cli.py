@@ -15,7 +15,7 @@ from hdtest import simulation
 from hdtest.cli import main
 from hdtest.shrinkage import shrink_eigenvalues
 from hdtest.simulation import SimulationConfig, blas_threads, run_trials, write_scores_csv
-from hdtest.spectral import SymMatrix, read_matrix_csv, spectral_decompose, write_matrix_csv
+from hdtest.spectral import read_matrix_csv, spectral_decompose, write_matrix_csv
 
 from test_shrinkage import FIX_A_DHAT
 
@@ -431,7 +431,7 @@ class TestShrinkCommand:
             path = self.write_matrix(tmp_path, x @ x.T / n, name=f"m{p}.csv")
             prefix = str(tmp_path / f"out{p}_")
             assert main(["shrink", "--matrix", str(path), "--n", str(n), "--out-prefix", prefix]) == 0
-            decomp = spectral_decompose(SymMatrix(read_matrix_csv(path)))
+            decomp = spectral_decompose(read_matrix_csv(path))
             assert np.count_nonzero(decomp.eigenvalues == 0.0) == max(p - n, 0)
             dhat = shrink_eigenvalues(decomp, n, p)
             u = decomp.eigenvectors

@@ -141,6 +141,28 @@ class TestSampleSphere:
                 sample_sphere(3, radius, rng)
 
 
+# Each generator's integer arguments, read by the rule SimulationConfig's
+# integer fields use: an int or a numpy integer, never a bool or a float.
+INTEGER_ARGS = {
+    "order": lambda v: make_covariance(v, 50, np.random.default_rng(0)),
+    "p": lambda v: make_covariance(2, v, np.random.default_rng(0)),
+    "sphere-p": lambda v: sample_sphere(v, 1.0, np.random.default_rng(0)),
+    "n": lambda v: generate_sample(np.ones(3), np.zeros(3), v, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("arg", list(INTEGER_ARGS))
+def test_generators_refuse_a_non_integer(arg, value):
+    with pytest.raises(StructuralError, match="must be an integer"):
+        INTEGER_ARGS[arg](value)
+
+
+@pytest.mark.parametrize("arg", list(INTEGER_ARGS))
+def test_generators_take_a_numpy_integer(arg):
+    np.testing.assert_array_equal(INTEGER_ARGS[arg](np.int64(3)), INTEGER_ARGS[arg](3))
+
+
 class TestGenerateSample:
     def test_shape_and_bounded_support(self):
         model = np.array([1.0, 4.0])
@@ -188,6 +210,16 @@ class TestGenerateSample:
                 generate_sample(
                     np.ones(3), np.zeros(3), 5, np.random.default_rng(0), out=np.empty(shape)
                 )
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_at_least_one_observation(self, n):
+        with pytest.raises(StructuralError, match="n must be >= 1"):
+            generate_sample(np.ones(3), np.zeros(3), n, np.random.default_rng(0))
+
+    def test_rejects_an_out_that_is_not_float64(self):
+        out = np.empty((3, 5), dtype=np.float32)
+        with pytest.raises(StructuralError, match="dtype float64"):
+            generate_sample(np.ones(3), np.zeros(3), 5, np.random.default_rng(0), out=out)
 
     @pytest.mark.parametrize("shift", [0.0, 0.75])
     @pytest.mark.parametrize("base", ["uniform", "gaussian"])
@@ -384,7 +416,7 @@ class TestRunTrials:
         solved, shapes = [], []
 
         def eigh(m, inner=spectral.spectral_decompose):
-            solved.append(m.p)
+            solved.append(len(m))
             return inner(m)
 
         def decompose(pair, inner=spectral.decompose_pair):

@@ -11,7 +11,6 @@ from hdtest.simulation import blas_pinned, generate_sample, make_covariance
 from hdtest.spectral import (
     SamplePair,
     SpectralDecomposition,
-    SymMatrix,
     decompose_pair,
     pooled_scm,
     quad_form_inverse,
@@ -33,9 +32,6 @@ def caller_arrays(which):
     rng = np.random.default_rng(2)
     if which == "data":
         return [rng.standard_normal((3, 5)), rng.standard_normal((3, 4))], SamplePair
-    if which == "sym":
-        a = rng.standard_normal((4, 4))
-        return [a + a.T], SymMatrix
     return [np.array([3.0, 2.0, 0.0]), np.eye(3)[:, :2].copy()], SpectralDecomposition
 
 
@@ -49,7 +45,7 @@ class TestCopyContract:
     """Value types keep a read-only copy of a caller's arrays; only arrays
     the library has just made are frozen in place instead."""
 
-    @pytest.mark.parametrize("which", ["data", "sym", "decomp"])
+    @pytest.mark.parametrize("which", ["data", "decomp"])
     def test_caller_arrays_are_copied(self, which):
         arrays, build = caller_arrays(which)
         before = [a.copy() for a in arrays]
@@ -62,7 +58,7 @@ class TestCopyContract:
             assert not k.flags.writeable
             np.testing.assert_array_equal(k, b)
 
-    @pytest.mark.parametrize("which", ["data", "sym", "decomp"])
+    @pytest.mark.parametrize("which", ["data", "decomp"])
     def test_read_only_views_of_writable_arrays_are_copied(self, which):
         arrays, build = caller_arrays(which)
         before = [a.copy() for a in arrays]
@@ -82,11 +78,36 @@ class TestCopyContract:
         x1 = generate_sample(model, np.ones(p), 8, rng)
         x2 = generate_sample(model, np.zeros(p), 9, rng)
         pair = SamplePair(x1, x2)
-        made = [pair.scm, pair.decomposition, spectral_decompose(pair.scm.entries)]
+        made = [pair.decomposition, spectral_decompose(pair.scm)]
         means = [pair.xbar1, pair.xbar2, pair.mean_diff]
-        for a in [x1, x2] + means + [a for obj in made for a in kept_arrays(obj)]:
+        for a in [x1, x2, pair.scm] + means + [a for obj in made for a in kept_arrays(obj)]:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+RAGGED = [[1.0, 2.0], [3.0]]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SamplePair(RAGGED, np.zeros((2, 2))),
+        lambda: SamplePair(np.zeros((2, 2)), "ab"),
+        lambda: SpectralDecomposition([[1.0], [2.0, 3.0]], np.eye(2)),
+        lambda: SpectralDecomposition(np.ones(2), RAGGED),
+        lambda: quad_form_inverse(spectral_decompose(np.eye(2)), np.ones(2), [[1], [2, 3]]),
+        lambda: spectral_decompose([[1, 2], [3]]),
+        lambda: spectral_decompose("ab"),
+        lambda: generate_sample("ab", np.zeros(2), 3, np.random.default_rng(0)),
+    ],
+    ids=[
+        "pair-ragged", "pair-string", "decomp-values", "decomp-vectors",
+        "quad-form", "decompose-ragged", "decompose-string", "population-diagonal",
+    ],
+)
+def test_ragged_or_non_numeric_input_is_a_structural_error(call):
+    with pytest.raises(StructuralError, match="not a vector or matrix of numbers"):
+        call()
 
 
 class TestSamplePair:
@@ -133,11 +154,11 @@ class TestPooledScm:
     def test_scalar_hand_example(self):
         # x1 = [0, 2], x2 = [0, 0]: centered scatter 2 + 0 over n = 2 -> 1.0
         pair = SamplePair([[0.0, 2.0]], [[0.0, 0.0]])
-        assert pooled_scm(pair).entries[0, 0] == 1.0
+        assert pooled_scm(pair)[0, 0] == 1.0
 
     def test_constant_columns_give_zero(self):
         pair = SamplePair(np.full((3, 4), 2.5), np.full((3, 2), -1.0))
-        np.testing.assert_array_equal(pooled_scm(pair).entries, np.zeros((3, 3)))
+        np.testing.assert_array_equal(pooled_scm(pair), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("p,n1,n2", [(3, 5, 4), (10, 4, 3), (6, 8, 8)])
     def test_psd_after_clipping(self, p, n1, n2):
@@ -151,7 +172,7 @@ class TestPooledScm:
         rng = np.random.default_rng(p + n1)
         x1 = np.asarray(rng.standard_normal((p, n1)) * 3.0 + 1.0, order=order)
         x2 = np.asarray(rng.standard_normal((p, n2)) - 2.0, order=order)
-        s = pooled_scm(SamplePair(x1, x2)).entries
+        s = pooled_scm(SamplePair(x1, x2))
         np.testing.assert_array_equal(s, s.T)
 
     def test_rank_deficiency_when_p_exceeds_n(self):
@@ -167,29 +188,29 @@ class TestPooledScm:
 
 class TestSpectralDecompose:
     def test_identity(self):
-        d = spectral_decompose(SymMatrix(np.eye(3)))
+        d = spectral_decompose(np.eye(3))
         np.testing.assert_array_equal(d.eigenvalues, np.ones(3))
         np.testing.assert_allclose(d.eigenvectors @ d.eigenvectors.T, np.eye(3), atol=1e-14)
         rebuilt = (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
         np.testing.assert_allclose(rebuilt, np.eye(3), atol=1e-14)
 
     def test_diagonal_is_sorted_non_increasing(self):
-        d = spectral_decompose(SymMatrix(np.diag([1.0, 4.0])))
+        d = spectral_decompose(np.diag([1.0, 4.0]))
         np.testing.assert_array_equal(d.eigenvalues, [4.0, 1.0])
         np.testing.assert_array_equal(np.abs(d.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((50, 50))
-        m = SymMatrix(a + a.T)
+        m = a + a.T
         d = spectral_decompose(m)
         rebuilt = (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
-        np.testing.assert_allclose(rebuilt, m.entries, atol=1e-10)
+        np.testing.assert_allclose(rebuilt, m, atol=1e-10)
 
     def test_deterministic_signs(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((20, 20))
-        m = SymMatrix(a @ a.T)
+        m = a @ a.T
         d1 = spectral_decompose(m)
         d2 = spectral_decompose(m)
         np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
@@ -200,16 +221,41 @@ class TestSpectralDecompose:
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_accepts_asymmetry_within_tolerance_unchanged(self):
+        # the input goes to eigh as it is, not symmetrized
         m = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
-        assert SymMatrix(m).entries.tobytes() == m.tobytes()
+        vals, vecs = np.linalg.eigh(m)
+        d = spectral_decompose(m)
+        np.testing.assert_array_equal(d.eigenvalues, vals[::-1])
+        np.testing.assert_array_equal(d.eigenvectors, vecs[:, ::-1])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(StructuralError):
-            SymMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(StructuralError, match="non-finite"):
+                spectral_decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "1-d"])
+    def test_rejects_non_square(self, m):
+        with pytest.raises(StructuralError, match="expected a square matrix"):
+            spectral_decompose(m)
+
+    @pytest.mark.parametrize("read_only_view", [False, True], ids=["writable", "read-only-view"])
+    def test_later_writes_to_the_input_do_not_reach_it(self, read_only_view):
+        a = np.random.default_rng(2).standard_normal((4, 4))
+        m = given = a + a.T
+        if read_only_view:  # of a writable array
+            given = m[...]
+            given.flags.writeable = False
+        d = spectral_decompose(given)
+        kept = [d.eigenvalues, d.eigenvectors]
+        before = [k.copy() for k in kept]
+        m[0] += 1.0
+        for k, b in zip(kept, before):
+            assert not k.flags.writeable
+            np.testing.assert_array_equal(k, b)
 
     def test_negative_clip_is_relative(self):
         # genuinely indefinite matrices keep their negative eigenvalues
-        d = spectral_decompose(SymMatrix(np.diag([1.0, -0.5])))
+        d = spectral_decompose(np.diag([1.0, -0.5]))
         assert d.eigenvalues[-1] == -0.5
 
 
@@ -248,7 +294,7 @@ class TestDecomposePair:
         decomp = decompose_pair(pair)
         u, lam = decomp.eigenvectors, decomp.eigenvalues[: decomp.eigenvectors.shape[1]]
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-10)
-        s = pooled_scm(pair).entries
+        s = pooled_scm(pair)
         np.testing.assert_allclose(s @ u, u * lam, rtol=0, atol=1e-10 * lam[0])
 
     @pytest.mark.parametrize("p,n1,n2", [(60, 40, 40), (80, 40, 40), (5, 3, 4)])
@@ -380,7 +426,7 @@ class TestQuadFormInverse:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((p, p + 3))
         m = a @ a.T / (p + 3)
-        d = spectral_decompose(SymMatrix(m))
+        d = spectral_decompose(m)
         v = rng.standard_normal(p)
         got = quad_form_inverse(d, d.eigenvalues, v)
         want = float(v @ np.linalg.solve(m, v))
@@ -390,7 +436,7 @@ class TestQuadFormInverse:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 9))
         m = a @ a.T / 9
-        d = spectral_decompose(SymMatrix(m))
+        d = spectral_decompose(m)
         v = rng.standard_normal(6)
         shift = 0.7
         got = quad_form_inverse(d, d.eigenvalues + shift, v)
