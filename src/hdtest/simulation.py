@@ -16,6 +16,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import operator
 import os
 import threading
@@ -37,9 +38,10 @@ from .detectors import (
 )
 from .errors import DomainError, StructuralError
 from .shrinkage import _pop_diag
+from .spectral import _finite_array, _readonly, _take, _workspace_pair, _write_csv
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
-from .spectral import SamplePair, _readonly, _take, _write_csv, pooled_scm  # noqa: F401
+from .spectral import pooled_scm  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -59,6 +61,13 @@ def _integer(name: str, value) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise StructuralError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float; a bool or a non-real is a StructuralError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise StructuralError(f"{name} must be a real number, got {value!r}")
 
 
 def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,7 +102,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the sphere of the given radius (normalized Gaussian)."""
-    p = _integer("p", p)
+    p, radius = _integer("p", p), _real("radius", radius)
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
     if not (math.isfinite(radius) and radius >= 0.0):
@@ -127,16 +136,15 @@ def generate_sample(
     p, n = diag.size, _integer("n", n)
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
-    mean = np.asarray(mean, dtype=float)
+    mean = _finite_array(mean, "mean")
     if mean.shape != (p,):
         raise StructuralError(f"mean must have shape ({p},), got {mean.shape}")
     if base_dist not in _BASE_DISTS:
         raise StructuralError(f"unknown base distribution {base_dist!r}")
-    if out is not None and (out.shape, out.dtype) != ((p, n), np.float64):
-        raise StructuralError(
-            f"out must have shape {(p, n)} and dtype float64, got {out.shape} {out.dtype}"
-        )
     u = np.empty((p, n)) if out is None else out
+    if not (isinstance(u, np.ndarray) and (u.shape, u.dtype) == ((p, n), np.float64)):
+        got = f"{u.shape} {u.dtype}" if isinstance(u, np.ndarray) else type(u).__name__
+        raise StructuralError(f"out must have shape {(p, n)} and dtype float64, got {got}")
     if base_dist == "uniform":
         # the bits of rng.uniform(-SQRT3, SQRT3): -SQRT3 + (2 * SQRT3) * random()
         rng.random(out=u)
@@ -167,6 +175,7 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("p", "n1", "n2", "cov_order", "trials", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "radius", _real("radius", self.radius))
         if self.p < 1:
             raise StructuralError(f"p must be >= 1, got {self.p}")
         if self.n1 < 2 or self.n2 < 2:
@@ -318,22 +327,13 @@ def blas_pinned():
 
 
 def _map_pairs(fn, trials: int, hypotheses: tuple) -> None:
-    """fn(t, h) for every (trial, hypothesis) pair, handed out in (t, h) order,
-    with BLAS held at one thread.
-
-    The pairs run on worker_count(trials, hypotheses) threads, or inline when
-    that is 1; the BLAS hold covers both, so the results do not depend on
-    either count.
-    """
+    """fn(t, h) for every (trial, hypothesis) pair, handed out in (t, h) order
+    to a pool of worker_count(trials, hypotheses) threads (one included) with
+    BLAS held at one thread, so the results do not depend on either count."""
     ts = [t for t in range(trials) for _ in hypotheses]
     hs = list(hypotheses) * trials
-    with blas_pinned():
-        workers = worker_count(trials, hypotheses)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fn, ts, hs))
-        else:
-            list(map(fn, ts, hs))
+    with blas_pinned(), ThreadPoolExecutor(worker_count(trials, hypotheses)) as pool:
+        list(pool.map(fn, ts, hs))
 
 
 @dataclass(frozen=True)
@@ -380,7 +380,7 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     after a failure at an earlier (t, h), so that first failure is found at
     any worker count, and a pair no detector still needs is not drawn.
 
-    Each worker thread forms its pairs in one workspace (see spectral._take)
+    Each worker thread forms its pairs in one workspace (see _workspace_pair)
     that lives as long as the run, so a pair reuses its predecessor's
     memory; no pair outlives its call, as a kept failure holds no traceback.
     """
@@ -404,7 +404,7 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
         x1 = generate_sample(diag, mu, config.n1, rng, config.base_dist, out=x1)
         x2 = _take(ws, "x2", (config.p, config.n2))
         x2 = generate_sample(diag, zeros, config.n2, rng, config.base_dist, out=x2)
-        pair = SamplePair(x1, x2, _workspace=ws)
+        pair = _workspace_pair(x1, x2, ws)
         for kind in kinds:
             try:
                 scores[h][kind][t] = _DETECTORS[kind](pair, diag).score
@@ -463,12 +463,9 @@ def roc_curve(h0_scores: np.ndarray, h1_scores: np.ndarray) -> RocCurve:
     After a leading (0,0), each distinct threshold moves at least one
     coordinate, so tied scores make one step, and the lowest one gives (1,1).
     """
-    h0 = np.asarray(h0_scores, dtype=float)
-    h1 = np.asarray(h1_scores, dtype=float)
+    h0, h1 = _finite_array(h0_scores, "scores"), _finite_array(h1_scores, "scores")
     if h0.size == 0 or h1.size == 0:
         raise StructuralError("both score samples must be nonempty")
-    if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
-        raise StructuralError("scores must be finite")
     pooled = np.sort(np.concatenate([h0, h1]))  # np.unique would import numpy.ma
     thresholds = pooled[np.append(pooled[1:] != pooled[:-1], True)][::-1]
     fpr = np.concatenate([[0.0], (h0.size - np.searchsorted(np.sort(h0), thresholds)) / h0.size])
@@ -488,11 +485,9 @@ def normality_check(z: np.ndarray) -> NormalitySummary:
     KS is the sup over sample points of both one-sided gaps between the
     empirical CDF and the standard normal CDF.
     """
-    z = np.asarray(z, dtype=float)
+    z = _finite_array(z, "values")
     if z.ndim != 1 or z.size < 2:
         raise StructuralError("need at least 2 values")
-    if not np.all(np.isfinite(z)):
-        raise StructuralError("values must be finite")
     mean = float(z.mean())
     variance = float(z.var(ddof=1))
     zs = np.sort(z)

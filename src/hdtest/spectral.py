@@ -20,7 +20,7 @@ small factor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,32 +74,28 @@ class SamplePair:
 
     x1 and x2 are p x n1 and p x n2 blocks of observations, one column per
     observation, each 2-D with at least 2 columns and finite entries.  Each
-    is kept as a read-only copy of the caller's array.
+    is kept as a read-only copy of the caller's array; an engine pair (see
+    _workspace_pair) freezes the engine's own blocks in place instead.
 
     The group means xbar1, xbar2 and their difference mean_diff are computed
     once, at construction, and frozen in place.  The pooled covariance `scm`
     and its `decomposition` are formed on first use and then kept for the
     pair's lifetime.  The caches are plain attributes with no lock: two threads
     that first read one at the same time may each form it.
-
-    With the engine's `_workspace` (see _take) the pair forms its arrays in
-    it, so it must be dropped before the next pair that shares it is formed.
-    The engine drew both blocks into that workspace, so they are frozen in
-    place, not copied.
     """
 
     x1: np.ndarray
     x2: np.ndarray
-    _workspace: InitVar[dict | None] = None
+    _ws = None  # the workspace of an engine pair (see _workspace_pair)
 
-    def __post_init__(self, _workspace):
+    def __post_init__(self):
         for name in ("x1", "x2"):
             e = _finite_array(getattr(self, name), "data matrix")
             if e.ndim != 2:
                 raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
             if e.shape[1] < 2:
                 raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
-            object.__setattr__(self, name, _readonly(e, _workspace is not None))
+            object.__setattr__(self, name, _readonly(e, self._ws is not None))
         x1, x2 = self.x1, self.x2
         if x1.shape[0] != x2.shape[0]:
             raise StructuralError(
@@ -114,7 +110,6 @@ class SamplePair:
             raise DomainError("group mean overflows the float range")
         for name, v in (("xbar1", xbar1), ("xbar2", xbar2), ("mean_diff", mean_diff)):
             object.__setattr__(self, name, _readonly(v, True))
-        object.__setattr__(self, "_ws", _workspace)
         object.__setattr__(self, "_scm", None)
         object.__setattr__(self, "_decomposition", None)
 
@@ -160,6 +155,16 @@ class SamplePair:
         return self.n1 * self.n2 / (self.n1 + self.n2)
 
 
+def _workspace_pair(x1: np.ndarray, x2: np.ndarray, workspace: dict) -> SamplePair:
+    """SamplePair(x1, x2), with all its checks, for blocks drawn into `workspace`
+    (see _take): frozen in place, not copied.  The pair forms its arrays there
+    too, so it must be dropped before the workspace's next pair is formed."""
+    pair = object.__new__(SamplePair)
+    object.__setattr__(pair, "_ws", workspace)
+    pair.__init__(x1, x2)
+    return pair
+
+
 @dataclass(frozen=True, init=False)
 class SpectralDecomposition:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
@@ -167,42 +172,29 @@ class SpectralDecomposition:
     The eigenvectors are either a full p x p basis or, in range-plus-null
     form, a p x r block for the first r eigenvalues; the remaining p - r
     eigenvalues are then exactly 0 and belong to the orthogonal complement
-    of the block, which is never formed.  Both arrays are read-only copies of
-    the caller's, which must be finite; `_owned=True` freezes arrays the
-    library has just made in place instead.
+    of the block, which is never formed.  Both arrays must be finite; each
+    is kept as a read-only copy, the eigenvectors in C order, the layout
+    whose BLAS path fixes the bits of U'v.
 
-    A Gram-side decomposition (see decompose_pair) keeps its p x r block
-    factored as C B, the p x N centred data times an N x r factor.  Reading
+    A Gram-side decomposition (see _factored) keeps its p x r block factored
+    as C B, the p x N centred data times an N x r factor.  Reading
     `eigenvectors` forms the block once and keeps it; this module's readers,
     quad_form_inverse and weighted_norms, work from the factors and never
     form it, so their results do not depend on whether it was read.
     """
 
     eigenvalues: np.ndarray
+    _vecs = _c = _b = None  # a factored block has _c and _b, not yet _vecs
 
-    def __init__(self, eigenvalues, eigenvectors, _owned=False, _factors=None):
-        # _factors=(c, b), with eigenvectors None, is decompose_pair's
-        # factored block c @ b, from arrays the library has just made
-        def keep(a, what):
-            return _readonly(a if _owned else _finite_array(a, what), _owned)
-
-        vals = keep(eigenvalues, "eigenvalues")
-        if _factors is None:
-            vecs, c, b = keep(eigenvectors, "eigenvectors"), None, None
-            if vecs.ndim != 2:
-                raise StructuralError("inconsistent decomposition shapes")
-            p, r = vecs.shape
-        else:
-            vecs, (c, b) = None, (_readonly(a, True) for a in _factors)
-            p, r = c.shape[0], b.shape[1]
-        if vals.ndim != 1 or not r <= p == vals.size:
+    def __init__(self, eigenvalues, eigenvectors):
+        vals = _readonly(_finite_array(eigenvalues, "eigenvalues"))
+        vecs = _finite_array(eigenvectors, "eigenvectors")
+        if vals.ndim != 1 or vecs.ndim != 2 or not vecs.shape[1] <= vecs.shape[0] == vals.size:
             raise StructuralError("inconsistent decomposition shapes")
-        if np.any(vals[r:] != 0.0):
+        if np.any(vals[vecs.shape[1] :] != 0.0):
             raise StructuralError("eigenvalues without an eigenvector must be exactly 0")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "_vecs", vecs)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_vecs", _readonly(np.array(vecs, order="C"), True))
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -215,6 +207,15 @@ class SpectralDecomposition:
     @property
     def p(self) -> int:
         return self.eigenvalues.size
+
+
+def _factored(vals: np.ndarray, c: np.ndarray, b: np.ndarray) -> SpectralDecomposition:
+    """decompose_pair's range-plus-null result, with its p x r block kept as
+    c @ b: arrays the library has just made, frozen in place unchecked."""
+    decomp = object.__new__(SpectralDecomposition)
+    for name, a in (("eigenvalues", vals), ("_c", c), ("_b", b)):
+        object.__setattr__(decomp, name, _readonly(a, True))
+    return decomp
 
 
 def _covariance(s: np.ndarray) -> np.ndarray:
@@ -259,11 +260,10 @@ def spectral_decompose(m) -> SpectralDecomposition:
     `m` is any square array with finite entries that is symmetric within
     SYMMETRY_ATOL times its largest magnitude (at least 1), else
     StructuralError; nothing keeps it, so later writes to it change nothing.
-    The eigenvectors are LAPACK's, signs included: every statistic reads
-    them only through squares and products U D U', so no output depends on
-    a sign.  They come as one new C-ordered array, the layout whose BLAS
-    path fixes the bits of U'v.  Eigenvalues within
-    EIGENVALUE_CLIP * largest of zero (either sign) are clipped to exactly 0:
+    A spectrum past the float range is a DomainError.  The eigenvectors are
+    LAPACK's, signs included: every statistic reads them only through
+    squares and products U D U', so no output depends on a sign.  Eigenvalues
+    within EIGENVALUE_CLIP * largest of zero (either sign) become exactly 0:
     they are roundoff images of zero for rank-deficient PSD inputs, and
     downstream shrinkage branches on exact zero, so a +1e-16 residue must not
     masquerade as a positive eigenvalue.  More-negative values are kept so
@@ -278,12 +278,14 @@ def spectral_decompose(m) -> SpectralDecomposition:
         if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL * scale:
             raise StructuralError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(m)
-    vals = vals[::-1].copy()
+    if not np.all(np.isfinite(vals)):  # a finite m whose spectrum leaves the float range
+        raise DomainError("eigenvalues overflow the float range")
+    vals = vals[::-1]
     top = vals[0]
     if top > 0.0:
         tiny = np.abs(vals) <= EIGENVALUE_CLIP * top
         vals[tiny] = 0.0
-    return SpectralDecomposition(vals, np.ascontiguousarray(vecs[:, ::-1]), _owned=True)
+    return SpectralDecomposition(vals, vecs[:, ::-1])
 
 
 def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
@@ -311,7 +313,7 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     r = int(np.count_nonzero(lam > 0.0))
     b = gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r])
     vals = np.concatenate((lam[:r], np.zeros(pair.p - r)))
-    return SpectralDecomposition(vals, None, _owned=True, _factors=(c, b))
+    return _factored(vals, c, b)
 
 
 def quad_form_inverse(

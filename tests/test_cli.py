@@ -511,6 +511,14 @@ class TestShrinkCommand:
         assert err.startswith("hdtest: error:")
         assert "dhat.csv" in err
 
+    def test_spectrum_past_the_float_range_exits_3(self, tmp_path, capsys):
+        path = self.write_matrix(tmp_path, np.full((2, 2), 1e308))
+        code = main(
+            ["shrink", "--matrix", str(path), "--n", "8", "--out-prefix", str(tmp_path / "x_")]
+        )
+        assert code == 3
+        assert "eigenvalues overflow" in capsys.readouterr().err
+
     def test_indefinite_matrix_exits_3(self, tmp_path, capsys):
         path = self.write_matrix(tmp_path, np.diag([1.0, -1.0]))
         code = main(

@@ -163,6 +163,38 @@ def test_generators_take_a_numpy_integer(arg):
     np.testing.assert_array_equal(INTEGER_ARGS[arg](np.int64(3)), INTEGER_ARGS[arg](3))
 
 
+@pytest.mark.parametrize("radius", ["1", True, np.float32(2)], ids=["str", "bool", "float32"])
+def test_radius_is_read_as_a_python_float(radius):
+    rng = np.random.default_rng(0)
+    if isinstance(radius, np.floating):
+        assert type(SimulationConfig(radius=radius).radius) is float
+        assert np.linalg.norm(sample_sphere(3, radius, rng)) == pytest.approx(2.0, rel=1e-15)
+        return
+    with pytest.raises(StructuralError, match="radius must be a real number"):
+        SimulationConfig(radius=radius)
+    with pytest.raises(StructuralError, match="radius must be a real number"):
+        sample_sphere(3, radius, rng)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generate_sample(np.ones(2), [[1.0], [1.0, 2.0]], 3, np.random.default_rng(0)),
+        lambda: generate_sample(np.ones(2), [0.0, np.nan], 3, np.random.default_rng(0)),
+        lambda: generate_sample(
+            np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=[[0.0] * 3] * 2
+        ),
+        lambda: roc_curve([[1.0], [1.0, 2.0]], [1.0]),
+        lambda: roc_curve([1.0], "ab"),
+        lambda: normality_check([[1.0], [1.0, 2.0]]),
+    ],
+    ids=["ragged-mean", "nan-mean", "list-out", "roc-ragged", "roc-string", "normality-ragged"],
+)
+def test_array_arguments_are_checked_as_arrays(call):
+    with pytest.raises(StructuralError):
+        call()
+
+
 class TestGenerateSample:
     def test_shape_and_bounded_support(self):
         model = np.array([1.0, 4.0])

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdtest
 from hdtest.errors import DomainError, StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
 from hdtest.simulation import blas_pinned, generate_sample, make_covariance
 from hdtest.spectral import (
     SamplePair,
     SpectralDecomposition,
+    _factored,
+    _workspace_pair,
     decompose_pair,
     pooled_scm,
     quad_form_inverse,
@@ -85,6 +89,20 @@ class TestCopyContract:
                 a[0] = 0.0
 
 
+def test_public_callables_take_no_private_parameters():
+    # the library's own values come from module-private functions, so no
+    # public signature carries a flag that only the library may set
+    for name in hdtest.__all__:
+        obj = getattr(hdtest, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # a class with a built-in constructor, such as an exception
+            continue
+        assert not [p for p in params if p.startswith("_")], name
+
+
 RAGGED = [[1.0, 2.0], [3.0]]
 
 
@@ -148,6 +166,29 @@ class TestSamplePair:
         naming the group mean, and no numpy warning (inf - inf included)."""
         with pytest.raises(DomainError, match="group mean overflows"):
             SamplePair(np.full((5, 4), big1), np.full((5, 4), big2))
+
+    @pytest.mark.parametrize(
+        "x1, x2, error",
+        [
+            (np.zeros((3, 1)), np.zeros((3, 2)), StructuralError),
+            (np.full((2, 3), np.nan), np.zeros((2, 3)), StructuralError),
+            (np.zeros(5), np.zeros((5, 2)), StructuralError),
+            (np.zeros((2, 3)), np.zeros((3, 3)), StructuralError),
+            (np.full((5, 4), 1e308), np.zeros((5, 4)), DomainError),
+        ],
+        ids=["one-observation", "non-finite", "1-d", "dimension-mismatch", "mean-overflow"],
+    )
+    def test_an_engine_pair_makes_every_check(self, x1, x2, error):
+        with pytest.raises(error):
+            _workspace_pair(x1, x2, {})
+
+    def test_an_engine_pair_freezes_its_blocks_in_place(self):
+        workspace = {}
+        x1, x2 = np.eye(3, 4), np.ones((3, 5))
+        pair = _workspace_pair(x1, x2, workspace)
+        assert pair.x1 is x1 and pair.x2 is x2 and not x1.flags.writeable
+        assert pair.scm.tobytes() == SamplePair(x1, x2).scm.tobytes()
+        assert np.shares_memory(pair.scm, workspace["scm"])
 
 
 class TestPooledScm:
@@ -232,6 +273,12 @@ class TestSpectralDecompose:
         for bad in (np.inf, np.nan):
             with pytest.raises(StructuralError, match="non-finite"):
                 spectral_decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_a_spectrum_past_the_float_range_is_a_domain_error(self):
+        # finite entries whose eigenvalue 2e308 is not: eigh gives (0, inf),
+        # which the relative clip would turn into (0, 0)
+        with pytest.raises(DomainError, match="overflow"):
+            spectral_decompose(np.full((2, 2), 1e308))
 
     @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "1-d"])
     def test_rejects_non_square(self, m):
@@ -342,7 +389,7 @@ class TestDecomposePair:
         cases = [(SpectralDecomposition(vals, u), SpectralDecomposition(vals, u * signs))]
         if pair.gram_side:
             c, b = decomp._c, decomp._b
-            cases.append((decomp, SpectralDecomposition(vals, None, _factors=(c, b * signs))))
+            cases.append((decomp, _factored(vals, c, b * signs)))
         for base, flipped in cases:
             dhat = shrink_eigenvalues(base, pair.n, p)
             loading = optimize_loading(base, pop)
