@@ -29,10 +29,10 @@ from .errors import (
     SingularCovarianceError,
     StructuralError,
 )
-from .shrinkage import _pop_diag, optimize_loading, shrink_eigenvalues
+from .shrinkage import optimize_loading, shrink_eigenvalues
 # Detectors read pair.scm; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
-from .spectral import SamplePair, pooled_scm, quad_form_inverse  # noqa: F401
+from .spectral import SamplePair, _pop_diag, pooled_scm, quad_form_inverse  # noqa: F401
 
 # Relative eigenvalue floor below which the plain sample covariance is
 # declared numerically singular for the classical statistic.

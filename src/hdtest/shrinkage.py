@@ -17,11 +17,10 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     DomainError,
-    SingularCovarianceError,
     StructuralError,
     UnsupportedAspectRatioError,
 )
-from .spectral import SpectralDecomposition, _finite_array, weighted_norms
+from .spectral import SpectralDecomposition, _integer, _pop_diag, weighted_norms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -112,8 +111,9 @@ def shrink_eigenvalues(
     largest min(n, p) eigenvalues: when p > n the p - n trailing zeros of the
     rank-deficient sample covariance are dropped, and every retained
     eigenvalue must be strictly positive.  The aspect ratio p == n is
-    rejected.
+    rejected.  n and p are integers (else StructuralError).
     """
+    n, p = _integer("n", n), _integer("p", p)
     if p != decomp.p:
         raise StructuralError(f"p={p} disagrees with decomposition size {decomp.p}")
     if n < 1:
@@ -154,21 +154,6 @@ def shrink_eigenvalues(
     if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
         raise DegenerateSpectrumError("shrunk eigenvalues are not finite and positive")
     return out
-
-
-def _pop_diag(pop, p: int | None = None) -> np.ndarray:
-    """The one reader of a population covariance, given as its diagonal: a
-    nonempty 1-D vector, of length p if p is given, with finite entries
-    (else StructuralError) that are positive (else SingularCovarianceError)."""
-    diag = _finite_array(pop, "population diagonal")
-    want = (diag.size if p is None else p,)
-    if diag.shape != want:
-        raise StructuralError(f"population diagonal must have shape {want}, got {diag.shape}")
-    if diag.size == 0:
-        raise StructuralError("population diagonal must be a nonempty vector")
-    if np.any(diag <= 0.0):
-        raise SingularCovarianceError("population diagonal must be positive")
-    return diag
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import numbers
-import operator
 import os
 import threading
 import warnings
@@ -37,8 +35,9 @@ from .detectors import (
     mahalanobis_score,
 )
 from .errors import DomainError, StructuralError
-from .shrinkage import _pop_diag
-from .spectral import _finite_array, _readonly, _take, _workspace_pair, _write_csv
+from .spectral import (
+    _finite_array, _integer, _pop_diag, _readonly, _real, _take, _workspace_pair, _write_csv,
+)
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
 from .spectral import pooled_scm  # noqa: F401
@@ -52,22 +51,6 @@ _MODEL_STREAM = 1
 _TRIAL_STREAM = 2
 
 _BASE_DISTS = ("uniform", "gaussian")
-
-
-def _integer(name: str, value) -> int:
-    """value as a Python int, so it serializes as JSON and a float such as
-    2.5 cannot pass for an integer; a bool or a non-integer is a StructuralError."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise StructuralError(f"{name} must be an integer, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    """value as a Python float; a bool or a non-real is a StructuralError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise StructuralError(f"{name} must be a real number, got {value!r}")
 
 
 def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +80,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
         raise DomainError(
             f"covariance order {order} overflows: the spike 10**{order} leaves the float range"
         )
-    return _readonly(np.concatenate([head, np.ones(p - k)]), True)
+    return _readonly(np.concatenate([head, np.ones(p - k)]))
 
 
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -129,8 +112,8 @@ def generate_sample(
     `diag` is the population covariance's diagonal, checked by _pop_diag.
     The default base distribution is uniform on [-sqrt(3), sqrt(3)]; the
     gaussian variant draws standard normals instead.  n is an integer >= 1.
-    The p x n draw is made in `out` (a float64 array of that shape) if given,
-    and returned read-only, frozen in place.
+    The p x n draw is made in `out` (a writable, contiguous float64 array of
+    that shape) if given, and returned read-only, frozen in place.
     """
     diag = _pop_diag(diag)
     p, n = diag.size, _integer("n", n)
@@ -145,6 +128,8 @@ def generate_sample(
     if not (isinstance(u, np.ndarray) and (u.shape, u.dtype) == ((p, n), np.float64)):
         got = f"{u.shape} {u.dtype}" if isinstance(u, np.ndarray) else type(u).__name__
         raise StructuralError(f"out must have shape {(p, n)} and dtype float64, got {got}")
+    if not (u.flags.behaved and (u.flags.c_contiguous or u.flags.f_contiguous)):
+        raise StructuralError("out must be writable, aligned and contiguous")
     if base_dist == "uniform":
         # the bits of rng.uniform(-SQRT3, SQRT3): -SQRT3 + (2 * SQRT3) * random()
         rng.random(out=u)
@@ -155,7 +140,7 @@ def generate_sample(
     u *= np.sqrt(diag)[:, None]
     if mean.any():  # adding an all-zero mean changes no entry
         u += mean[:, None]
-    return _readonly(u, True)
+    return _readonly(u)
 
 
 @dataclass(frozen=True)
@@ -336,9 +321,9 @@ def _map_pairs(fn, trials: int, hypotheses: tuple) -> None:
         list(pool.map(fn, ts, hs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Scores for both hypotheses, one column per surviving detector."""
+    """Scores for both hypotheses, one column per surviving detector (compared by identity)."""
 
     config: SimulationConfig
     diag: np.ndarray
@@ -431,17 +416,18 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
     return ScoreTable(config=config, diag=diag, h0=h0, h1=h1, absent=absent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Empirical ROC from threshold sweeping, plus its trapezoidal AUC."""
+    """Empirical ROC from threshold sweeping, plus its trapezoidal AUC; fpr and
+    tpr are kept as read-only copies, and curves compare by identity."""
 
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float = field(init=False)
 
     def __post_init__(self):
-        fpr = _readonly(self.fpr)
-        tpr = _readonly(self.tpr)
+        fpr = _readonly(np.array(_finite_array(self.fpr, "ROC points")))
+        tpr = _readonly(np.array(_finite_array(self.tpr, "ROC points")))
         if fpr.shape != tpr.shape or fpr.ndim != 1 or fpr.size < 2:
             raise StructuralError("inconsistent ROC point arrays")
         if np.any(np.diff(fpr) < 0.0) or np.any(np.diff(tpr) < 0.0):

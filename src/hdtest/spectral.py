@@ -19,12 +19,15 @@ small factor.
 
 from __future__ import annotations
 
+import contextlib
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, SingularCovarianceError, StructuralError
 
 # Tolerance for accepting a matrix as symmetric, and the relative floor below
 # which a slightly-negative eigenvalue of a PSD matrix is treated as exactly 0.
@@ -32,16 +35,11 @@ SYMMETRY_ATOL = 1e-10
 EIGENVALUE_CLIP = 1e-10
 
 
-def _readonly(a, owned=False) -> np.ndarray:
-    """A read-only float array with a's entries.
-
-    It is a copy, so a caller's later writes to `a` cannot reach it, unless
-    `owned` says that `a` is a float array the library has just made and
-    that nothing else holds; that one is frozen in place.
-    """
-    out = a if owned else np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """a, an array the library has made and holds alone, frozen in place; a
+    caller's array is read by _finite_array and copied, never frozen."""
+    a.flags.writeable = False
+    return a
 
 
 def _take(workspace: dict | None, name: str, shape: tuple) -> np.ndarray:
@@ -68,14 +66,46 @@ def _finite_array(a, what: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _integer(name: str, value) -> int:
+    """value as a Python int, so it serializes as JSON and a float such as
+    2.5 cannot pass for an integer; a bool or a non-integer is a StructuralError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise StructuralError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float; a bool or a non-real is a StructuralError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise StructuralError(f"{name} must be a real number, got {value!r}")
+
+
+def _pop_diag(pop, p: int | None = None) -> np.ndarray:
+    """The one reader of a population covariance, given as its diagonal: a
+    nonempty 1-D vector, of length p if p is given, with finite entries
+    (else StructuralError) that are positive (else SingularCovarianceError)."""
+    diag = _finite_array(pop, "population diagonal")
+    want = (diag.size if p is None else p,)
+    if diag.shape != want:
+        raise StructuralError(f"population diagonal must have shape {want}, got {diag.shape}")
+    if diag.size == 0:
+        raise StructuralError("population diagonal must be a nonempty vector")
+    if np.any(diag <= 0.0):
+        raise SingularCovarianceError("population diagonal must be positive")
+    return diag
+
+
+@dataclass(frozen=True, eq=False)
 class SamplePair:
     """Two independent samples sharing one coordinate space.
 
     x1 and x2 are p x n1 and p x n2 blocks of observations, one column per
-    observation, each 2-D with at least 2 columns and finite entries.  Each
-    is kept as a read-only copy of the caller's array; an engine pair (see
-    _workspace_pair) freezes the engine's own blocks in place instead.
+    observation, each 2-D with at least 2 columns and finite entries, read by
+    _finite_array.  Each is kept as a read-only copy, so the caller's array
+    stays writable; an engine pair (see _workspace_pair) freezes the engine's
+    own blocks in place instead.  Pairs compare by identity.
 
     The group means xbar1, xbar2 and their difference mean_diff are computed
     once, at construction, and frozen in place.  The pooled covariance `scm`
@@ -95,7 +125,7 @@ class SamplePair:
                 raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
             if e.shape[1] < 2:
                 raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
-            object.__setattr__(self, name, _readonly(e, self._ws is not None))
+            object.__setattr__(self, name, _readonly(np.array(e) if self._ws is None else e))
         x1, x2 = self.x1, self.x2
         if x1.shape[0] != x2.shape[0]:
             raise StructuralError(
@@ -109,7 +139,7 @@ class SamplePair:
         if not np.all(np.isfinite(mean_diff)):
             raise DomainError("group mean overflows the float range")
         for name, v in (("xbar1", xbar1), ("xbar2", xbar2), ("mean_diff", mean_diff)):
-            object.__setattr__(self, name, _readonly(v, True))
+            object.__setattr__(self, name, _readonly(v))
         object.__setattr__(self, "_scm", None)
         object.__setattr__(self, "_decomposition", None)
 
@@ -165,16 +195,17 @@ def _workspace_pair(x1: np.ndarray, x2: np.ndarray, workspace: dict) -> SamplePa
     return pair
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
 
     The eigenvectors are either a full p x p basis or, in range-plus-null
     form, a p x r block for the first r eigenvalues; the remaining p - r
     eigenvalues are then exactly 0 and belong to the orthogonal complement
-    of the block, which is never formed.  Both arrays must be finite; each
-    is kept as a read-only copy, the eigenvectors in C order, the layout
-    whose BLAS path fixes the bits of U'v.
+    of the block, which is never formed.  Both arrays are read by
+    _finite_array; each is kept as a read-only copy, the eigenvectors in C
+    order, the layout whose BLAS path fixes the bits of U'v.  Decompositions
+    compare by identity.
 
     A Gram-side decomposition (see _factored) keeps its p x r block factored
     as C B, the p x N centred data times an N x r factor.  Reading
@@ -187,21 +218,21 @@ class SpectralDecomposition:
     _vecs = _c = _b = None  # a factored block has _c and _b, not yet _vecs
 
     def __init__(self, eigenvalues, eigenvectors):
-        vals = _readonly(_finite_array(eigenvalues, "eigenvalues"))
+        vals = _readonly(np.array(_finite_array(eigenvalues, "eigenvalues")))
         vecs = _finite_array(eigenvectors, "eigenvectors")
         if vals.ndim != 1 or vecs.ndim != 2 or not vecs.shape[1] <= vecs.shape[0] == vals.size:
             raise StructuralError("inconsistent decomposition shapes")
         if np.any(vals[vecs.shape[1] :] != 0.0):
             raise StructuralError("eigenvalues without an eigenvector must be exactly 0")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "_vecs", _readonly(np.array(vecs, order="C"), True))
+        object.__setattr__(self, "_vecs", _readonly(np.array(vecs, order="C")))
 
     @property
     def eigenvectors(self) -> np.ndarray:
         """The p x p or p x r eigenvector block (a factored one is formed on
         first read, without a lock, like SamplePair's caches)."""
         if self._vecs is None:
-            object.__setattr__(self, "_vecs", _readonly(self._c @ self._b, True))
+            object.__setattr__(self, "_vecs", _readonly(self._c @ self._b))
         return self._vecs
 
     @property
@@ -214,7 +245,7 @@ def _factored(vals: np.ndarray, c: np.ndarray, b: np.ndarray) -> SpectralDecompo
     c @ b: arrays the library has just made, frozen in place unchecked."""
     decomp = object.__new__(SpectralDecomposition)
     for name, a in (("eigenvalues", vals), ("_c", c), ("_b", b)):
-        object.__setattr__(decomp, name, _readonly(a, True))
+        object.__setattr__(decomp, name, _readonly(a))
     return decomp
 
 
@@ -224,7 +255,7 @@ def _covariance(s: np.ndarray) -> np.ndarray:
     malformed input."""
     if not np.all(np.isfinite(s)):
         raise DomainError("pooled sample covariance overflows")
-    return _readonly(s, True)
+    return _readonly(s)
 
 
 def _centred(pair: SamplePair) -> np.ndarray:
@@ -257,7 +288,7 @@ def pooled_scm(pair: SamplePair) -> np.ndarray:
 def spectral_decompose(m) -> SpectralDecomposition:
     """Full symmetric eigendecomposition, eigenvalues in non-increasing order.
 
-    `m` is any square array with finite entries that is symmetric within
+    `m` is any nonempty square array with finite entries, symmetric within
     SYMMETRY_ATOL times its largest magnitude (at least 1), else
     StructuralError; nothing keeps it, so later writes to it change nothing.
     A spectrum past the float range is a DomainError.  The eigenvectors are
@@ -270,8 +301,8 @@ def spectral_decompose(m) -> SpectralDecomposition:
     callers can reject genuinely indefinite matrices.
     """
     m = _finite_array(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StructuralError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or not m.shape[0] == m.shape[1] > 0:
+        raise StructuralError(f"expected a square matrix of size >= 1, got shape {m.shape}")
     # An exactly symmetric matrix passes without the tolerance's temporaries.
     if not np.array_equal(m, m.T):
         scale = max(1.0, float(np.max(np.abs(m))))
@@ -402,5 +433,5 @@ def _write_csv(path, header: str | None, rows) -> None:
 
 
 def write_matrix_csv(path, m: np.ndarray) -> None:
-    """Write a matrix as CSV with full round-trip precision (shortest repr)."""
-    _write_csv(path, None, np.atleast_2d(np.asarray(m, dtype=float)).tolist())
+    """Write a finite matrix as CSV with full round-trip precision (shortest repr)."""
+    _write_csv(path, None, np.atleast_2d(_finite_array(m, "matrix")).tolist())

@@ -71,6 +71,17 @@ class TestSimulateCommand:
         assert manifest["seed"] == 5
         assert str(out / "scores.csv") in manifest["outputs"]
 
+    def test_gaussian_base_is_run_and_recorded(self, tmp_path):
+        uniform, gaussian = tmp_path / "uniform", tmp_path / "gaussian"
+        assert run_simulate(uniform) == 0
+        assert run_simulate(gaussian, ["--base-dist", "gaussian"]) == 0
+        manifest = json.loads((gaussian / "manifest.json").read_text())
+        assert manifest["config"]["base_dist"] == "gaussian"
+        summary = json.loads((gaussian / "summary.json").read_text())
+        assert summary["config"]["base_dist"] == "gaussian"
+        # the same streams drawn through another base give other scores
+        assert (gaussian / "scores.csv").read_bytes() != (uniform / "scores.csv").read_bytes()
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_simulate(out1) == 0

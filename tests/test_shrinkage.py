@@ -337,6 +337,14 @@ class TestShrinkEigenvalues:
         with pytest.raises(StructuralError):
             shrink_eigenvalues(decomp_from([2.0, 1.0]), 8, 3)
 
+    @pytest.mark.parametrize(
+        "n, p", [(2.5, 4), (8, 4.0), ("8", 4), (True, 4)],
+        ids=["float-n", "float-p", "str-n", "bool-n"],
+    )
+    def test_n_and_p_must_be_integers(self, n, p):
+        with pytest.raises(StructuralError, match="must be an integer"):
+            shrink_eigenvalues(decomp_from([4.0, 3.0, 2.0, 1.0]), n, p)
+
 
 class TestLwCovariance:
     """The shrunk eigenvalues of the LW covariance estimate."""

@@ -184,11 +184,21 @@ def test_radius_is_read_as_a_python_float(radius):
         lambda: generate_sample(
             np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=[[0.0] * 3] * 2
         ),
+        lambda: generate_sample(  # a read-only view of immutable bytes
+            np.ones(2), np.zeros(2), 3, np.random.default_rng(0),
+            out=np.frombuffer(bytes(48)).reshape(2, 3),
+        ),
+        lambda: generate_sample(
+            np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=np.empty((2, 6))[:, ::2]
+        ),
         lambda: roc_curve([[1.0], [1.0, 2.0]], [1.0]),
         lambda: roc_curve([1.0], "ab"),
         lambda: normality_check([[1.0], [1.0, 2.0]]),
     ],
-    ids=["ragged-mean", "nan-mean", "list-out", "roc-ragged", "roc-string", "normality-ragged"],
+    ids=[
+        "ragged-mean", "nan-mean", "list-out", "read-only-out", "strided-out",
+        "roc-ragged", "roc-string", "normality-ragged",
+    ],
 )
 def test_array_arguments_are_checked_as_arrays(call):
     with pytest.raises(StructuralError):
@@ -252,6 +262,23 @@ class TestGenerateSample:
         out = np.empty((3, 5), dtype=np.float32)
         with pytest.raises(StructuralError, match="dtype float64"):
             generate_sample(np.ones(3), np.zeros(3), 5, np.random.default_rng(0), out=out)
+
+    # base -> (E z^4, E z^8) of its standardised draws z: uniform on
+    # [-sqrt3, sqrt3] has 9/5 and 3^4/9, the standard normal 3 and 105
+    BASE_MOMENTS = {"uniform": (1.8, 9.0), "gaussian": (3.0, 105.0)}
+
+    @pytest.mark.parametrize("base", list(BASE_MOMENTS))
+    def test_standardised_draws_have_the_base_moments(self, base):
+        # mean 0, variance 1 and the base's kurtosis, each within 5 Monte
+        # Carlo SEs of the sample mean of z, z^2 and z^4 over 2e5 draws
+        kurtosis, m8 = self.BASE_MOMENTS[base]
+        diag, mean = np.array([1.0, 9.0]), np.array([0.5, -2.0])
+        x = generate_sample(diag, mean, 100_000, np.random.default_rng(11), base)
+        z = ((x - mean[:, None]) / np.sqrt(diag)[:, None]).ravel()
+        for values, want, var in (
+            (z, 0.0, 1.0), (z**2, 1.0, kurtosis - 1.0), (z**4, kurtosis, m8 - kurtosis**2)
+        ):
+            assert abs(values.mean() - want) < 5.0 * math.sqrt(var / z.size)
 
     @pytest.mark.parametrize("shift", [0.0, 0.75])
     @pytest.mark.parametrize("base", ["uniform", "gaussian"])
@@ -368,6 +395,7 @@ class TestRunTrials:
             assert table.h1[kind].shape == (cfg.trials,)
             assert np.all(np.isfinite(table.h0[kind]))
             assert np.all(np.isfinite(table.h1[kind]))
+            assert not (table.h0[kind].flags.writeable or table.h1[kind].flags.writeable)
 
     def test_rerun_is_bit_identical(self):
         # each run forms its pairs in its own workspaces: none carries over

@@ -1,4 +1,5 @@
 import inspect
+import os
 import warnings
 
 import numpy as np
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 import hdtest
 from hdtest.errors import DomainError, StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
-from hdtest.simulation import blas_pinned, generate_sample, make_covariance
+from hdtest.simulation import (
+    RocCurve,
+    ScoreTable,
+    SimulationConfig,
+    blas_pinned,
+    generate_sample,
+    make_covariance,
+)
 from hdtest.spectral import (
     SamplePair,
     SpectralDecomposition,
@@ -36,6 +44,8 @@ def caller_arrays(which):
     rng = np.random.default_rng(2)
     if which == "data":
         return [rng.standard_normal((3, 5)), rng.standard_normal((3, 4))], SamplePair
+    if which == "roc":
+        return [np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])], RocCurve
     return [np.array([3.0, 2.0, 0.0]), np.eye(3)[:, :2].copy()], SpectralDecomposition
 
 
@@ -49,7 +59,7 @@ class TestCopyContract:
     """Value types keep a read-only copy of a caller's arrays; only arrays
     the library has just made are frozen in place instead."""
 
-    @pytest.mark.parametrize("which", ["data", "decomp"])
+    @pytest.mark.parametrize("which", ["data", "decomp", "roc"])
     def test_caller_arrays_are_copied(self, which):
         arrays, build = caller_arrays(which)
         before = [a.copy() for a in arrays]
@@ -62,7 +72,7 @@ class TestCopyContract:
             assert not k.flags.writeable
             np.testing.assert_array_equal(k, b)
 
-    @pytest.mark.parametrize("which", ["data", "decomp"])
+    @pytest.mark.parametrize("which", ["data", "decomp", "roc"])
     def test_read_only_views_of_writable_arrays_are_copied(self, which):
         arrays, build = caller_arrays(which)
         before = [a.copy() for a in arrays]
@@ -87,6 +97,24 @@ class TestCopyContract:
         for a in [x1, x2, pair.scm] + means + [a for obj in made for a in kept_arrays(obj)]:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+# Records holding arrays, each built twice from equal inputs.
+ARRAY_RECORDS = {
+    "pair": lambda: SamplePair(np.eye(2), np.ones((2, 3))),
+    "decomp": lambda: SpectralDecomposition(np.ones(2), np.eye(2)),
+    "roc": lambda: RocCurve([0.0, 1.0], [0.0, 1.0]),
+    "table": lambda: ScoreTable(SimulationConfig(p=2), np.ones(2), {}, {}),
+}
+
+
+@pytest.mark.parametrize("which", list(ARRAY_RECORDS))
+def test_array_records_compare_by_identity(which):
+    # an array field has no truth value, so field-wise == and hash cannot work
+    a, b = ARRAY_RECORDS[which](), ARRAY_RECORDS[which]()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert {a: 1, b: 2}[a] == 1
 
 
 def test_public_callables_take_no_private_parameters():
@@ -117,10 +145,13 @@ RAGGED = [[1.0, 2.0], [3.0]]
         lambda: spectral_decompose([[1, 2], [3]]),
         lambda: spectral_decompose("ab"),
         lambda: generate_sample("ab", np.zeros(2), 3, np.random.default_rng(0)),
+        lambda: RocCurve([[0.0], [0.0, 1.0]], [0.0, 1.0]),
+        lambda: write_matrix_csv(os.devnull, RAGGED),
     ],
     ids=[
         "pair-ragged", "pair-string", "decomp-values", "decomp-vectors",
         "quad-form", "decompose-ragged", "decompose-string", "population-diagonal",
+        "roc-points", "write-matrix",
     ],
 )
 def test_ragged_or_non_numeric_input_is_a_structural_error(call):
@@ -280,7 +311,9 @@ class TestSpectralDecompose:
         with pytest.raises(DomainError, match="overflow"):
             spectral_decompose(np.full((2, 2), 1e308))
 
-    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(3)], ids=["2x3", "1-d"])
+    @pytest.mark.parametrize(
+        "m", [np.ones((2, 3)), np.ones(3), np.zeros((0, 0))], ids=["2x3", "1-d", "0x0"]
+    )
     def test_rejects_non_square(self, m):
         with pytest.raises(StructuralError, match="expected a square matrix"):
             spectral_decompose(m)
