@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage/validation failures or an unusable file path, 3
 mathematical precondition failures; the commands raise and `main` alone maps
-an error to its code.  Every successful command writes a manifest capturing
-the exact configuration, so a run can be replayed bit-for-bit.
+an error to its code.  `main` also times each command, holds BLAS around it,
+and writes the manifest that lets the run be replayed bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .detectors import DetectorKind
 from .errors import DomainError, StructuralError
 from .shrinkage import shrink_eigenvalues
 from .simulation import (
+    _BASE_DISTS,
     NULL_HYPOTHESES,
     SIMULATE_HYPOTHESES,
     SimulationConfig,
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="two-hypothesis Monte Carlo with ROC output")
+    sim.set_defaults(run=cmd_simulate)
     _add_common(sim)
     sim.add_argument(
         "--detectors",
@@ -82,10 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--radius", type=float, default=1.0, help="mean-shift sphere radius")
 
     null = sub.add_parser("null-check", help="null distribution of the shrinkage Z score")
+    null.set_defaults(run=cmd_null_check)
     _add_common(null, p=200, n1=200, n2=200, cov_order=4)
     null.add_argument("--trials", type=int, default=1000, help="number of null trials")
 
     shrink = sub.add_parser("shrink", help="shrink a sample covariance matrix from CSV")
+    shrink.set_defaults(run=cmd_shrink)
     shrink.add_argument("--matrix", required=True, help="CSV file, one row per line, no header")
     shrink.add_argument("--n", type=int, required=True, help="effective sample size")
     shrink.add_argument("--out-prefix", required=True, help="prefix for output files")
@@ -100,7 +104,7 @@ def _add_common(sub, p=200, n1=150, n2=150, cov_order=0):
     sub.add_argument("--seed", type=int, default=0, help="root RNG seed")
     sub.add_argument(
         "--base-dist",
-        choices=("uniform", "gaussian"),
+        choices=_BASE_DISTS,
         default="uniform",
         help="base noise distribution",
     )
@@ -120,12 +124,10 @@ def _build_config(args, **fields) -> SimulationConfig:
     )
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> tuple:
     names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
     config = _build_config(args, detectors=names, radius=args.radius)
-    with blas_pinned() as held:
-        table = run_trials(config)
+    table = run_trials(config)
     os.makedirs(args.out_dir, exist_ok=True)
 
     scores_path = os.path.join(args.out_dir, "scores.csv")
@@ -138,7 +140,10 @@ def cmd_simulate(args) -> int:
         write_roc_csv(curves[kind], roc_path)
         outputs.append(roc_path)
 
-    summary = {
+    summary_path = os.path.join(args.out_dir, "summary.json")
+    _write_json_atomic(summary_path, {
+        "command": args.command,
+        "config": config.as_dict(),
         "covariance": {
             "order": config.cov_order,
             "seed": model_seed(config.seed),
@@ -154,23 +159,20 @@ def cmd_simulate(args) -> int:
             for kind in curves
         },
         "absent": {k.value: v for k, v in table.absent.items()},
-    }
-    workers = worker_count(config.trials, SIMULATE_HYPOTHESES)
-    _write_summary_and_manifest(args, config, summary, outputs, t0, held, workers)
+    })
     for kind in curves:
         print(f"{kind.value}: auc={curves[kind].auc:.4f}")
     for kind, reason in table.absent.items():
         print(f"{kind.value}: absent ({reason})")
-    return 0
+    return (os.path.join(args.out_dir, "manifest.json"), config.as_dict(), config.seed,
+            outputs + [summary_path], worker_count(config.trials, SIMULATE_HYPOTHESES))
 
 
-def cmd_null_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_null_check(args) -> tuple:
     config = _build_config(args, detectors=(DetectorKind.PROPOSED_LW,))
     if config.trials < 2:  # the normality summary needs two Z values
         raise StructuralError(f"--trials must be >= 2 for a null check, got {config.trials}")
-    with blas_pinned() as held:
-        z = null_z_samples(config)
+    z = null_z_samples(config)
     stats = normality_check(z)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -187,25 +189,25 @@ def cmd_null_check(args) -> int:
     hist_path = os.path.join(args.out_dir, "z_hist.csv")
     _write_csv(hist_path, "bin_lo,bin_hi,count,density,normal_density", rows)
 
-    workers = worker_count(config.trials, NULL_HYPOTHESES)
-    outputs = [samples_path, hist_path]
-    _write_summary_and_manifest(args, config, stats._asdict(), outputs, t0, held, workers)
+    summary_path = os.path.join(args.out_dir, "summary.json")
+    _write_json_atomic(
+        summary_path, {"command": args.command, "config": config.as_dict(), **stats._asdict()}
+    )
     print(
         f"null z: mean={stats.mean:.4f} variance={stats.variance:.4f} "
         f"ks={stats.ks_statistic:.4f}"
     )
-    return 0
+    return (os.path.join(args.out_dir, "manifest.json"), config.as_dict(), config.seed,
+            [samples_path, hist_path, summary_path], worker_count(config.trials, NULL_HYPOTHESES))
 
 
-def cmd_shrink(args) -> int:
-    t0 = time.perf_counter()
+def cmd_shrink(args) -> tuple:
     if args.n < 1:
         raise StructuralError(f"--n must be >= 1, got {args.n}")
-    with blas_pinned() as held:
-        decomp = spectral_decompose(read_matrix_csv(args.matrix))
-        dhat = shrink_eigenvalues(decomp, args.n, decomp.p)
-        u = decomp.eigenvectors
-        rlw = (u * dhat) @ u.T
+    decomp = spectral_decompose(read_matrix_csv(args.matrix))
+    dhat = shrink_eigenvalues(decomp, args.n, decomp.p)
+    u = decomp.eigenvectors
+    rlw = (u * dhat) @ u.T
 
     prefix = args.out_prefix
     dhat_path = f"{prefix}dhat.csv"
@@ -220,9 +222,7 @@ def cmd_shrink(args) -> int:
     print(f"output condition number: {cond_out:.6g}")
 
     config = {"matrix": args.matrix, "n": args.n, "out_prefix": prefix}
-    outputs = [dhat_path, rlw_path]
-    _write_manifest(f"{prefix}manifest.json", args.command, config, 0, outputs, t0, held, 1)
-    return 0
+    return f"{prefix}manifest.json", config, 0, [dhat_path, rlw_path], 1
 
 
 def _platform_name() -> str:
@@ -259,40 +259,27 @@ def _run_environment(held: dict, workers: int) -> dict:
     }
 
 
-def _write_summary_and_manifest(args, config, summary, outputs, t0, held, workers):
-    """Write summary.json, then manifest.json listing every output, into --out-dir."""
-    path = os.path.join(args.out_dir, "summary.json")
-    _write_json_atomic(path, {"command": args.command, "config": config.as_dict(), **summary})
-    _write_manifest(
-        os.path.join(args.out_dir, "manifest.json"), args.command, config.as_dict(), config.seed,
-        outputs + [path], t0, held, workers,
-    )
-
-
-def _write_manifest(path, command, config, seed, outputs, t0, held, workers) -> None:
-    _write_json_atomic(path, {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "tool_version": __version__,
-        "outputs": outputs,
-        "duration_seconds": time.perf_counter() - t0,
-        "environment": _run_environment(held, workers),
-    })
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    t0 = time.perf_counter()
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "null-check":
-            return cmd_null_check(args)
-        return cmd_shrink(args)
+        # a command writes its data files and returns what the manifest records
+        with blas_pinned() as held:
+            path, config, seed, outputs, workers = args.run(args)
+        _write_json_atomic(path, {
+            "command": args.command,
+            "config": config,
+            "seed": seed,
+            "tool_version": __version__,
+            "outputs": outputs,
+            "duration_seconds": time.perf_counter() - t0,
+            "environment": _run_environment(held, workers),
+        })
+        return 0
     except (StructuralError, OSError) as exc:
         code, error = 2, exc
     except DomainError as exc:

@@ -4,7 +4,7 @@ A run is a pure function of its configuration.  Per-trial randomness comes
 from seed streams derived as SeedSequence([seed, stream, trial, hypothesis]),
 so results are bit-identical regardless of how many worker threads execute
 the (trial, hypothesis) pairs (each pair writes into its own preallocated
-slot).  While the trial engine runs, every loaded OpenBLAS is held at one
+slot).  While the trial engine runs, numpy's OpenBLAS is held at one
 thread, so the bits do not depend on the BLAS thread count either.  A
 detector that fails its precondition is not scored on later trials; its
 first failure in trial order is the one reported, at any worker count.
@@ -227,15 +227,6 @@ def worker_count(trials: int, hypotheses: tuple) -> int:
     return min(thread_count(), trials * len(hypotheses))
 
 
-# (get, set) thread-count symbols of the OpenBLAS builds that numpy and scipy
-# bundle: numpy's has the 64-bit integer interface and its suffix, scipy's
-# (loaded only where the caller imports scipy.linalg) has neither.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
 class _OpenBlas(NamedTuple):
     name: str
     get: Callable[[], int]
@@ -244,37 +235,35 @@ class _OpenBlas(NamedTuple):
 
 @functools.cache
 def _find_openblas() -> tuple:
-    """Every OpenBLAS mapped into this process that exports a thread-count pair.
+    """numpy's bundled OpenBLAS, the one BLAS hdtest calls, as a 1-tuple (else empty).
 
-    Read from /proc/self/maps at the first call, not at import; by then
-    importing numpy has loaded its copy.  hdtest itself never loads scipy's;
-    a caller that imported scipy.linalg before that first call has loaded it,
-    and then it is found and held too.
+    Found in /proc/self/maps at the first call, not at import (by then
+    importing numpy has loaded it), as the mapped OpenBLAS that exports the
+    64-bit interface's thread-count pair.  scipy's copy, which a caller that
+    imports scipy.linalg loads, exports neither symbol: it never runs
+    hdtest's arithmetic, so its thread count is left alone.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
         return ()
-    found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append(_OpenBlas(os.path.basename(path), get, set_))
-                break
-    return tuple(found)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return (_OpenBlas(os.path.basename(path), get, set_),)
+    return ()
 
 
 def blas_threads() -> dict:
-    """Library file name -> current thread count, for every OpenBLAS found."""
+    """Library file name -> current thread count, for the OpenBLAS found."""
     return {lib.name: lib.get() for lib in _find_openblas()}
 
 
@@ -286,7 +275,7 @@ _pin_saved: list = []  # (library, thread count before the first holder)
 
 @contextlib.contextmanager
 def blas_pinned():
-    """Hold every loaded OpenBLAS at one thread; yields blas_threads() inside.
+    """Hold numpy's OpenBLAS at one thread; yields blas_threads() inside.
 
     The hold is reference-counted: the first holder saves the counts and sets
     1, and only the last one out restores them, so nested and concurrent

@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import importlib.metadata
 import json
 import os
@@ -18,6 +20,7 @@ from hdtest.simulation import SimulationConfig, blas_threads, run_trials, write_
 from hdtest.spectral import read_matrix_csv, spectral_decompose, write_matrix_csv
 
 from test_shrinkage import FIX_A_DHAT
+from test_simulation import blas_at_two  # noqa: F401 (a fixture)
 
 SIM_ARGS = [
     "simulate",
@@ -536,6 +539,80 @@ class TestShrinkCommand:
             ["shrink", "--matrix", str(path), "--n", "8", "--out-prefix", str(tmp_path / "x_")]
         )
         assert code == 3
+        capsys.readouterr()
+
+
+class TestLifecycle:
+    """`main` owns each command's clock, BLAS hold and manifest."""
+
+    @pytest.mark.parametrize("argv, code", [
+        # the first trial's pooled covariance overflows: raised inside the engine
+        (["null-check", "--p", "50", "--n1", "20", "--n2", "20", "--cov-order", "308",
+          "--trials", "3"], 3),
+        # rejected before any trial runs
+        (["null-check", "--p", "4", "--n1", "6", "--n2", "6", "--trials", "1"], 2),
+    ])
+    def test_blas_count_is_restored_after_a_failed_command(
+        self, argv, code, blas_at_two, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("HDTEST_THREADS", "1")
+        assert main(argv + ["--out-dir", str(tmp_path / "x")]) == code
+        assert blas_threads() == blas_at_two
+        assert capsys.readouterr().err.startswith("hdtest: error:")
+
+    def test_scipy_openblas_keeps_its_count_through_a_run(self, tmp_path, monkeypatch):
+        """hdtest calls numpy's OpenBLAS only, so a copy that scipy.linalg
+        loaded is neither held nor listed in the manifest."""
+        pytest.importorskip("scipy.linalg")
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+        libs = [lib for lib in libs if hasattr(lib, "scipy_openblas_get_num_threads")]
+        if not libs:
+            pytest.skip("scipy's OpenBLAS thread-count symbols are not found")
+        get, set_ = libs[0].scipy_openblas_get_num_threads, libs[0].scipy_openblas_set_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        previous = get()
+        set_(2)
+        seen = []
+
+        def recording(config):
+            seen.append(get())
+            return run_trials(config)
+
+        monkeypatch.setattr(hdtest.cli, "run_trials", recording)
+        # the search is cached per process: search afresh, with scipy loaded
+        fresh = functools.cache(simulation._find_openblas.__wrapped__)
+        monkeypatch.setattr(simulation, "_find_openblas", fresh)
+        try:
+            at_two = get()
+            assert run_simulate(tmp_path / "run") == 0
+            assert seen == [at_two]
+            assert get() == at_two
+        finally:
+            set_(previous)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert [b["library"] for b in manifest["environment"]["blas"]] == list(blas_threads())
+
+    def test_commands_share_one_manifest_key_set(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        write_matrix_csv(matrix, np.diag([2.0, 1.0]))
+        assert run_simulate(tmp_path / "sim") == 0
+        assert main(["null-check", "--p", "4", "--n1", "6", "--n2", "6", "--trials", "2",
+                     "--out-dir", str(tmp_path / "null")]) == 0
+        assert main(["shrink", "--matrix", str(matrix), "--n", "8",
+                     "--out-prefix", str(tmp_path / "shrink_")]) == 0
+        manifests = [
+            json.loads(path.read_text())
+            for path in (tmp_path / "sim" / "manifest.json", tmp_path / "null" / "manifest.json",
+                         tmp_path / "shrink_manifest.json")
+        ]
+        assert [m["command"] for m in manifests] == ["simulate", "null-check", "shrink"]
+        assert len({tuple(sorted(m)) for m in manifests}) == 1
+        assert len({tuple(sorted(m["environment"])) for m in manifests}) == 1
+        for m in manifests:
+            assert all(os.path.isfile(path) for path in m["outputs"])
         capsys.readouterr()
 
 

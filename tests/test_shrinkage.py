@@ -53,8 +53,9 @@ FIX_A_DHAT = (1.378110831940340062533876, 1.67024705898330210593391)
 FIX_B_EVALS = (3.0, 1.0, 0.0, 0.0)
 FIX_B_N = 2
 FIX_B_A0 = 0.358282222939967665130087
-FIX_B_ZERO_VALUE = 5.582191557226974090956924
-FIX_B_DHAT_POS = (1.172143210928448970927311, 0.2293789562291666950465747)
+# from oracles.shrink_above_mp: 1/(lambda |s|^2), and 1/((c - 1) pi a(0)/n)
+FIX_B_ZERO_VALUE = 1.776866759237035333972654
+FIX_B_DHAT_POS = (2.245185195403712927047225, 1.352814072999980548599035)
 
 
 def ab_at(lam, evals, n) -> tuple[float, float]:
@@ -97,7 +98,7 @@ class TestKernelContext:
         out = shrink_eigenvalues(decomp_from(FIX_B_EVALS), FIX_B_N, 4)
         a0, _ = kernel_ab_mp(0.0, FIX_B_EVALS[:FIX_B_N], FIX_B_N)
         ratio = 4 / FIX_B_N
-        assert out[2] == pytest.approx(float(FIX_B_N / ((ratio - 1.0) * a0)), rel=1e-12)
+        assert out[2] == pytest.approx(float(FIX_B_N / ((ratio - 1.0) * math.pi * a0)), rel=1e-12)
 
     def test_rejects_zero_in_retained_set(self):
         with pytest.raises(DegenerateSpectrumError, match="retained"):
@@ -278,9 +279,6 @@ class TestShrinkEigenvalues:
         for x, y in zip(below, above):
             assert abs(x - y) <= 1e-45 * abs(x)
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 2: the p > n shrinkage map"
-    )
     def test_matches_the_ledoit_peche_oracle_above_p_equals_n(self):
         # fixture B, and the first H0 pair of seed 1 at p = 400, n1 = n2 = 100
         # (c about 2) at order 0, which keeps item 1's far-field error out:
