@@ -45,8 +45,6 @@ from .simulation import (
 from .spectral import (
     SamplePair,
     SpectralDecomposition,
-    decompose_pair,
-    pooled_scm,
     quad_form_inverse,
     read_matrix_csv,
     spectral_decompose,
@@ -68,9 +66,7 @@ __all__ = [
     # spectral core
     "SamplePair",
     "SpectralDecomposition",
-    "pooled_scm",
     "spectral_decompose",
-    "decompose_pair",
     "quad_form_inverse",
     "read_matrix_csv",
     "write_matrix_csv",

@@ -181,8 +181,8 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     R the population covariance.  It is evaluated in the eigenbasis of S:
     with w_i = (U'RU)_ii precomputed once (spectral.weighted_norms), each
     evaluation costs O(p), and the scan's points are evaluated together in
-    blocks of at most _KERNEL_CHUNK entries.  A
-    range-plus-null decomposition carries the null space's total weight,
+    blocks of at most _KERNEL_CHUNK entries.  A Gram-side
+    (range-plus-null) decomposition carries the null space's total weight,
     tr R minus the range w_i.  The search scans 64 points of log-lambda over
     [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
     interval by golden section to absolute log-tolerance 1e-6.
@@ -195,7 +195,7 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     w = weighted_norms(decomp, diag)
     p = decomp.p
     if w.size < p:
-        # Range-plus-null form: every null direction has eigenvalue 0, so only
+        # The Gram side: every null direction has eigenvalue 0, so only
         # the null weights' sum tr R - sum(w) enters; it rides on one slot.
         w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
     evaluations = 0

@@ -199,19 +199,18 @@ def _workspace_pair(x1: np.ndarray, x2: np.ndarray, workspace: dict) -> SamplePa
 class SpectralDecomposition:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
 
-    The eigenvectors are either a full p x p basis or, in range-plus-null
-    form, a p x r block for the first r eigenvalues; the remaining p - r
-    eigenvalues are then exactly 0 and belong to the orthogonal complement
-    of the block, which is never formed.  Both arrays are read by
-    _finite_array; each is kept as a read-only copy, the eigenvectors in C
-    order, the layout whose BLAS path fixes the bits of U'v.  Decompositions
-    compare by identity.
+    A caller's decomposition is a full basis: p eigenvalues and a p x p
+    eigenvector array, each read by _finite_array and kept as a read-only
+    copy, the eigenvectors in C order, the layout whose BLAS path fixes the
+    bits of U'v.  Decompositions compare by identity.
 
-    A Gram-side decomposition (see _factored) keeps its p x r block factored
-    as C B, the p x N centred data times an N x r factor.  Reading
-    `eigenvectors` forms the block once and keeps it; this module's readers,
-    quad_form_inverse and weighted_norms, work from the factors and never
-    form it, so their results do not depend on whether it was read.
+    The one range-plus-null form is decompose_pair's Gram side (see
+    _factored): its p - r null eigenvalues are exactly 0 and belong to the
+    orthogonal complement of a p x r block, kept factored as C B, the p x N
+    centred data times an N x r factor.  Reading `eigenvectors` forms the
+    block once and keeps it; this module's readers, quad_form_inverse and
+    weighted_norms, work from the factors and never form it, so their
+    results do not depend on whether it was read.
     """
 
     eigenvalues: np.ndarray
@@ -220,17 +219,15 @@ class SpectralDecomposition:
     def __init__(self, eigenvalues, eigenvectors):
         vals = _readonly(np.array(_finite_array(eigenvalues, "eigenvalues")))
         vecs = _finite_array(eigenvectors, "eigenvectors")
-        if vals.ndim != 1 or vecs.ndim != 2 or not vecs.shape[1] <= vecs.shape[0] == vals.size:
-            raise StructuralError("inconsistent decomposition shapes")
-        if np.any(vals[vecs.shape[1] :] != 0.0):
-            raise StructuralError("eigenvalues without an eigenvector must be exactly 0")
+        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
+            raise StructuralError("inconsistent decomposition shapes: need a full p x p basis")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "_vecs", _readonly(np.array(vecs, order="C")))
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """The p x p or p x r eigenvector block (a factored one is formed on
-        first read, without a lock, like SamplePair's caches)."""
+        """The p x p basis, or the Gram side's p x r block (formed from its
+        factors on first read, without a lock, like SamplePair's caches)."""
         if self._vecs is None:
             object.__setattr__(self, "_vecs", _readonly(self._c @ self._b))
         return self._vecs
@@ -354,9 +351,9 @@ def quad_form_inverse(
 
     `d` supplies the (strictly positive) eigenvalues of the matrix being
     inverted; passing modified eigenvalues (shrunk, ridge-shifted, ...) reuses
-    one decomposition for many inverses.  In range-plus-null form (U is
-    p x r) the null entries d[r:] must all be equal, and the null part adds
-    (||v||^2 - ||U'v||^2) / d[r].
+    one decomposition for many inverses.  On decompose_pair's Gram side U'v
+    is B'(C'v), U is p x r, the null entries d[r:] must all be equal, and the
+    null part adds (||v||^2 - ||U'v||^2) / d[r].
     """
     d = _finite_array(d, "eigenvalue vector")
     v = _finite_array(v, "vector")
@@ -366,13 +363,11 @@ def quad_form_inverse(
         )
     if np.any(d <= 0.0):
         raise DomainError("non-positive eigenvalue: matrix is not positive definite")
-    if decomp._b is not None:  # a factored block: U'v = B'(C'v)
-        proj = decomp._b.T @ (decomp._c.T @ v)
-    else:
+    if decomp._b is None:  # a full basis
         proj = decomp.eigenvectors.T @ v
-    r = proj.size
-    if r == decomp.p:
         return float(np.sum(proj * proj / d))
+    proj = decomp._b.T @ (decomp._c.T @ v)
+    r = proj.size
     if np.any(d[r:] != d[r]):
         raise StructuralError("null-space entries of d must all be equal")
     null = max(float(v @ v) - float(proj @ proj), 0.0)
@@ -382,7 +377,7 @@ def quad_form_inverse(
 def weighted_norms(decomp: SpectralDecomposition, diag: np.ndarray) -> np.ndarray:
     """u_i' R u_i for each eigenvector column u_i of U, R = diag(diag).
 
-    For an explicit block this is sum_j diag_j U_ji^2.  For a factored one
+    For a full basis this is sum_j diag_j U_ji^2.  For a factored block
     it uses ||u_i|| = 1: 1 + sum over the rows j with diag_j != 1 of
     (diag_j - 1) (C_j B)_i^2, so it costs O(N r) per such row, and only
     those rows of C B are formed.

@@ -4,9 +4,9 @@ Everything here is deliberately written the slow, obvious way (or with
 high-precision arithmetic) so it shares no code with the implementation under
 test.  The exceptions are `dense_path_scores`, the p x p reference for the
 Gram-side decomposition, which composes the library's public primitives on
-the dense decomposition of the pooled covariance, and
-`gram_side_eigenvectors`, which forms the Gram side's eigenvector block the
-way the library formerly did.
+the dense decomposition of the pooled covariance, `gram_side_eigenvectors`,
+which forms the Gram side's eigenvector block the way the library formerly
+did, and `loading_search_scalar`, which takes its weights from the library.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 
 from hdtest.errors import StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
-from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose
+from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose, weighted_norms
 
 
 def kernel_ab_mp(lam, evals, n, dps=50):
@@ -240,15 +240,14 @@ def loading_search_scalar(decomp, pop):
     This is the library's former form of `optimize_loading`, kept as the
     bit-for-bit reference for its block scan: the 64 scan points are taken
     one at a time, each as a length-p vector expression, and the golden
-    section refines the bracket around the best of them.
+    section refines the bracket around the best of them.  Its weights
+    w_i = u_i' R u_i are the library's spectral.weighted_norms, the one
+    reader of a Gram-side decomposition's factored block.
     """
     diag = np.asarray(pop)
     lam = decomp.eigenvalues
-    u = decomp.eigenvectors
     p = decomp.p
-    w = u * u
-    w *= diag[:, None]
-    w = w.sum(axis=0)
+    w = weighted_norms(decomp, diag)
     if w.size < p:
         w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
     count = 0

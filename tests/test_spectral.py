@@ -46,7 +46,7 @@ def caller_arrays(which):
         return [rng.standard_normal((3, 5)), rng.standard_normal((3, 4))], SamplePair
     if which == "roc":
         return [np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0])], RocCurve
-    return [np.array([3.0, 2.0, 0.0]), np.eye(3)[:, :2].copy()], SpectralDecomposition
+    return [np.array([3.0, 2.0, 0.0]), np.eye(3)], SpectralDecomposition
 
 
 def kept_arrays(obj):
@@ -410,7 +410,7 @@ class TestDecomposePair:
     @pytest.mark.parametrize("p,n1,n2", [(60, 40, 40), (150, 40, 40)])
     def test_statistics_do_not_read_eigenvector_signs(self, p, n1, n2):
         # eigenvector signs are LAPACK's: negating any subset of columns,
-        # of an explicit U or of a factored B, leaves every statistic's bits
+        # of a full U or of a factored B, leaves every statistic's bits
         pair = model_pair(p, n1, n2, 2)
         pop = make_covariance(2, p, np.random.default_rng(5))
         v = pair.mean_diff
@@ -419,10 +419,10 @@ class TestDecomposePair:
         r = u.shape[1]
         signs = np.random.default_rng(6).choice([-1.0, 1.0], size=r)
         assert np.any(signs < 0.0) and np.any(signs > 0.0)
-        cases = [(SpectralDecomposition(vals, u), SpectralDecomposition(vals, u * signs))]
         if pair.gram_side:
-            c, b = decomp._c, decomp._b
-            cases.append((decomp, _factored(vals, c, b * signs)))
+            cases = [(decomp, _factored(vals, decomp._c, decomp._b * signs))]
+        else:
+            cases = [(decomp, SpectralDecomposition(vals, u * signs))]
         for base, flipped in cases:
             dhat = shrink_eigenvalues(base, pair.n, p)
             loading = optimize_loading(base, pop)
@@ -457,9 +457,17 @@ class TestDecomposePair:
 
 
 class TestRangePlusNull:
+    """A caller's decomposition is a full basis; the range-plus-null form is
+    decompose_pair's Gram side alone, built here through _factored as a
+    p x r block C B."""
+
     def test_rejects_a_nonzero_eigenvalue_without_a_vector(self):
         with pytest.raises(StructuralError):
             SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2)[:, :1])
+
+    def test_rejects_a_partial_basis_with_zero_eigenvalues(self):
+        with pytest.raises(StructuralError, match="full p x p basis"):
+            SpectralDecomposition(np.array([2.0, 0.0]), np.eye(2)[:, :1])
 
     def test_rejects_more_vectors_than_eigenvalues(self):
         with pytest.raises(StructuralError):
@@ -470,7 +478,7 @@ class TestRangePlusNull:
         basis, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         vals = np.array([5.0, 3.0, 0.0, 0.0, 0.0, 0.0])
         full = SpectralDecomposition(vals, basis)
-        split = SpectralDecomposition(vals, basis[:, :2])
+        split = _factored(vals.copy(), basis[:, :2].copy(), np.eye(2))
         d = np.array([5.0, 3.0, 0.7, 0.7, 0.7, 0.7])
         v = rng.standard_normal(6)
         assert quad_form_inverse(split, d, v) == pytest.approx(
@@ -478,7 +486,7 @@ class TestRangePlusNull:
         )
 
     def test_rejects_unequal_null_entries(self):
-        split = SpectralDecomposition(np.array([2.0, 0.0, 0.0]), np.eye(3)[:, :1])
+        split = _factored(np.array([2.0, 0.0, 0.0]), np.eye(3)[:, :1], np.eye(1))
         with pytest.raises(StructuralError, match="null-space"):
             quad_form_inverse(split, np.array([2.0, 1.0, 1.5]), np.ones(3))
 
