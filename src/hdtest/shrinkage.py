@@ -29,6 +29,12 @@ SQRT5 = math.sqrt(5.0)
 # where the bracket vanishes and the product term's limit is 0.
 _LOG_GUARD = 1e-300
 
+# Past |x| = 10 sqrt5 (|u| < 0.1, u = sqrt5/x) a kernel term is taken from
+# its series, whose 8 terms leave a relative truncation below 1e-17: the
+# coefficients 2/((2k+1)(2k+3)) of w**k, w = u**2.
+_FAR = 10.0 * SQRT5
+_SERIES = tuple(2.0 / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
+
 # Entries per work buffer: the kernel sums take their points, and the loading
 # scan its points, in row chunks of about this many entries, so the working
 # set stays a few buffers of at most 512 KiB whatever the sizes.
@@ -51,6 +57,17 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     the bracket vanishes; the product's limit is 0, which the guard enforces
     when floating point lands exactly on the singularity.
 
+    In the far field, |x_j| > 10 sqrt5, the two parts of a's term cancel to
+    about -1/(pi (lambda - lambda_j)) and the log's rounding error is
+    multiplied by x_j^2.  There the term is taken from its exact series
+    instead: with u = sqrt5/x_j and w = u^2, it is
+
+      -3/(sqrt5 pi h_j) * sum_k u^(2k+1)/((2k+1)(2k+3))
+          = (-3 x_j / (10 pi h_j)) * w * sum_k 2 w^k/((2k+1)(2k+3)),
+
+    the linear term times a power series in w < 0.01, summed over k < 8 by
+    Horner's rule on the far entries alone; b's term is 0 there.
+
     The points run in row chunks through four reused work buffers, each step
     an in-place ufunc with the operands and rounding of the one-shot
     expression, and each row reduced whole; so the sums have the same bits
@@ -66,9 +83,11 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     a, b = np.empty(k), np.empty(k)
     rows = max(1, _KERNEL_CHUNK // m)
     bufs = np.empty((4, min(rows, k), m))
+    far_buf = np.empty(bufs.shape[1:], dtype=bool)
     for i in range(0, k, rows):
         lam = lams[i : i + rows, None]
         x, t, num, den = bufs[:, : lam.shape[0]]
+        far = far_buf[: lam.shape[0]]
         np.subtract(lam, evals, out=x)
         x /= h
         np.multiply(x, 0.2, out=t)
@@ -87,13 +106,29 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
             prod = np.multiply(log_scale, bracket, out=den)
             prod *= logterm
         prod[guarded] = 0.0
-        x *= -3.0
-        x /= lin_scale
-        x += prod
-        np.sum(x, axis=1, out=a[i : i + rows])
         np.maximum(bracket, 0.0, out=bracket)
         bracket *= bump_scale
         np.sum(bracket, axis=1, out=b[i : i + rows])
+        np.greater(np.abs(x, out=num), _FAR, out=far)
+        nfar = np.count_nonzero(far)
+        if nfar:  # w * series(w) on the far entries, summed in t's free buffer
+            w = x[far]
+            w *= w
+            np.divide(5.0, w, out=w)
+            acc = np.multiply(w, _SERIES[-1], out=t.reshape(-1)[:nfar])
+            for c in _SERIES[-2:0:-1]:
+                acc += c
+                acc *= w
+            acc += _SERIES[0]
+            w *= acc
+        x *= -3.0
+        x /= lin_scale
+        if nfar:
+            w *= x[far]
+        x += prod
+        if nfar:
+            x[far] = w
+        np.sum(x, axis=1, out=a[i : i + rows])
     return a, b
 
 

@@ -47,7 +47,10 @@ def kernel_sums_one_shot(lams, evals, n):
     This is the library's former single-pass form of `_kernel_sums`, kept as
     the bit-for-bit reference for its chunked, in-place evaluation: each
     entry goes through the same operations in the same order, so the two
-    must agree exactly, not just to a tolerance.
+    must agree exactly, not just to a tolerance.  Past |x| = 10 sqrt5 the a
+    term is the linear term times w * sum_k 2 w^k/((2k+1)(2k+3)), k < 8,
+    w = 5/x^2, by Horner's rule: the exact series of the near-field form
+    (derived in `_kernel_sums`).
     """
     sqrt5 = math.sqrt(5.0)
     lam = np.asarray(lams, dtype=float)[:, None]
@@ -57,12 +60,21 @@ def kernel_sums_one_shot(lams, evals, n):
     bracket = 1.0 - 0.2 * x * x
     num = sqrt5 * h - lam + ev
     den = sqrt5 * h + lam - ev
+    coef = [2.0 / ((2 * k + 1) * (2 * k + 3)) for k in range(8)]
     with np.errstate(divide="ignore", invalid="ignore"):
         logterm = np.log(np.abs(num) / np.abs(den))
         prod = (3.0 / (4.0 * sqrt5 * math.pi * h)) * bracket * logterm
+        w = 5.0 / (x * x)  # the series is kept only where |x| > 10 sqrt5
+        acc = w * coef[7]
+        for c in coef[6:0:-1]:
+            acc = (acc + c) * w
+        acc = acc + coef[0]
+        lin = -3.0 * x / (10.0 * math.pi * h)
+        series = lin * (w * acc)
     guarded = (np.abs(num) < 1e-300) | (np.abs(den) < 1e-300)
     prod = np.where(guarded, 0.0, prod)
-    a = np.sum(-3.0 * x / (10.0 * math.pi * h) + prod, axis=1)
+    terms = np.where(np.abs(x) > 10.0 * sqrt5, series, lin + prod)
+    a = np.sum(terms, axis=1)
     b = np.sum((3.0 / (4.0 * sqrt5 * h)) * np.maximum(bracket, 0.0), axis=1)
     return a, b
 

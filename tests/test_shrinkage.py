@@ -173,10 +173,19 @@ class TestKernelSums:
             assert a == pytest.approx(float(a_ref), rel=1e-12, abs=1e-14)
             assert b == pytest.approx(float(b_ref), rel=1e-12, abs=1e-14)
 
-
-    @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: far-field cancellation in the kernel sums"
+    @pytest.mark.parametrize(
+        "lam, n", [(1.0 + 23.0 / 8.0, 512), (1e4, 512), (1e12, 512), (0.5, 10**6), (1e-3, 10**6)]
     )
+    def test_far_field_matches_mpmath(self, lam, n):
+        # one eigenvalue 1 with h = n**(-1/3): x = 23, 8e4 and 8e12 above it,
+        # and x = -50 and about -100 below it, where only n > 11180 reaches
+        # |x| > 10 sqrt5; the closed form cancels about x^2, in floats and in
+        # the reference too, so the reference runs at 80 digits
+        a, b = ab_at(lam, [1.0], n)
+        a_ref, _ = kernel_ab_mp(lam, [1.0], n, dps=80)
+        assert abs(a - float(a_ref)) <= 1e-14 * abs(float(a_ref))
+        assert b == 0.0
+
     def test_matches_mpmath_on_a_wide_spectrum(self):
         # the first H0 pair of seed 1 at p = 190, n1 = n2 = 100, order 4: its
         # retained eigenvalues run from about 1e4 down to near 0, so |x|
