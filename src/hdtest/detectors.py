@@ -32,7 +32,7 @@ from .errors import (
 from .shrinkage import optimize_loading, shrink_eigenvalues
 # Detectors read pair.scm; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
-from .spectral import SamplePair, _pop_diag, pooled_scm, quad_form_inverse  # noqa: F401
+from .spectral import SamplePair, _instance, _pop_diag, pooled_scm, quad_form_inverse  # noqa: F401
 
 # Relative eigenvalue floor below which the plain sample covariance is
 # declared numerically singular for the classical statistic.
@@ -74,6 +74,7 @@ class ScoreResult:
 def mahalanobis_score(pair: SamplePair, pop_cov) -> ScoreResult:
     """Clairvoyant detector: ||diff / sqrt(diag)||^2 in O(p) for the true
     diagonal population covariance, given as its diagonal vector."""
+    _instance("pair", pair, SamplePair)
     y = pair.mean_diff / np.sqrt(_pop_diag(pop_cov, pair.p))
     return ScoreResult(DetectorKind.MAHALANOBIS_ORACLE, float(y @ y))
 
@@ -83,6 +84,7 @@ def hotelling_score(pair: SamplePair) -> ScoreResult:
 
     Requires p <= n and a numerically nonsingular S_n.
     """
+    _instance("pair", pair, SamplePair)
     if pair.p > pair.n:
         raise SingularCovarianceError(
             f"sample covariance is singular for p={pair.p} > n={pair.n}"
@@ -100,6 +102,7 @@ def lw_score(pair: SamplePair) -> ScoreResult:
 
     aux carries the raw quadratic form 't2_lw'.
     """
+    _instance("pair", pair, SamplePair)
     decomp = pair.decomposition
     dhat = shrink_eigenvalues(decomp, pair.n, pair.p)
     t2 = pair.diff_scale * quad_form_inverse(decomp, dhat, pair.mean_diff)
@@ -117,6 +120,7 @@ def bs96_score(pair: SamplePair) -> ScoreResult:
     otherwise, where no p x p matrix is formed.  Traces whose squares leave
     the float range raise DomainError.
     """
+    _instance("pair", pair, SamplePair)
     n = pair.n
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
         if pair.gram_side:
@@ -149,6 +153,7 @@ def cq10_score(pair: SamplePair) -> ScoreResult:
     O(p*(n1+n2)) via sum_{i != j} x_i' x_j = ||sum_i x_i||^2 - sum_i ||x_i||^2.
     Sums whose squares leave the float range raise DomainError.
     """
+    _instance("pair", pair, SamplePair)
     x1, x2 = pair.x1, pair.x2
     n1, n2 = pair.n1, pair.n2
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned
@@ -172,6 +177,7 @@ def lappw_score(pair: SamplePair, pop) -> ScoreResult:
     diagonal, so this detector is simulation-only and its performance is an
     upper bound for any data-driven choice.  aux carries 'loading'.
     """
+    _instance("pair", pair, SamplePair)
     decomp = pair.decomposition
     res = optimize_loading(decomp, pop)
     d = decomp.eigenvalues + res.lambda_star

@@ -20,7 +20,7 @@ from .errors import (
     StructuralError,
     UnsupportedAspectRatioError,
 )
-from .spectral import SpectralDecomposition, _integer, _pop_diag, weighted_norms
+from .spectral import SpectralDecomposition, _instance, _integer, _pop_diag, weighted_norms
 
 SQRT5 = math.sqrt(5.0)
 
@@ -29,10 +29,9 @@ SQRT5 = math.sqrt(5.0)
 # where the bracket vanishes and the product term's limit is 0.
 _LOG_GUARD = 1e-300
 
-# Past |x| = 10 sqrt5 (|u| < 0.1, u = sqrt5/x) a kernel term is taken from
-# its series, whose 8 terms leave a relative truncation below 1e-17: the
-# coefficients 2/((2k+1)(2k+3)) of w**k, w = u**2.
-_FAR = 10.0 * SQRT5
+# The kernel sums' far field, |x| > 10 sqrt5, where the bracket 1 - x^2/5 is
+# below -99, and its series' 8 coefficients.
+_FAR_BRACKET = -99.0
 _SERIES = tuple(2.0 / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
 
 # Entries per work buffer: the kernel sums take their points, and the loading
@@ -57,15 +56,14 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     the bracket vanishes; the product's limit is 0, which the guard enforces
     when floating point lands exactly on the singularity.
 
-    In the far field, |x_j| > 10 sqrt5, the two parts of a's term cancel to
-    about -1/(pi (lambda - lambda_j)) and the log's rounding error is
-    multiplied by x_j^2.  There the term is taken from its exact series
-    instead: with u = sqrt5/x_j and w = u^2, it is
+    In the far field, |x_j| > 10 sqrt5, a's two parts cancel to about
+    -1/(pi (lambda - lambda_j)), and the log's rounding error is multiplied
+    by x_j^2.  There a's term is its exact series in u = sqrt5/x_j, w = u^2,
 
       -3/(sqrt5 pi h_j) * sum_k u^(2k+1)/((2k+1)(2k+3))
           = (-3 x_j / (10 pi h_j)) * w * sum_k 2 w^k/((2k+1)(2k+3)),
 
-    the linear term times a power series in w < 0.01, summed over k < 8 by
+    taken over k < 8 (truncation below 1e-17 relative, as w < 0.01) by
     Horner's rule on the far entries alone; b's term is 0 there.
 
     The points run in row chunks through four reused work buffers, each step
@@ -106,28 +104,24 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
             prod = np.multiply(log_scale, bracket, out=den)
             prod *= logterm
         prod[guarded] = 0.0
+        np.less(bracket, _FAR_BRACKET, out=far)
         np.maximum(bracket, 0.0, out=bracket)
         bracket *= bump_scale
         np.sum(bracket, axis=1, out=b[i : i + rows])
-        np.greater(np.abs(x, out=num), _FAR, out=far)
-        nfar = np.count_nonzero(far)
-        if nfar:  # w * series(w) on the far entries, summed in t's free buffer
-            w = x[far]
-            w *= w
-            np.divide(5.0, w, out=w)
-            acc = np.multiply(w, _SERIES[-1], out=t.reshape(-1)[:nfar])
-            for c in _SERIES[-2:0:-1]:
-                acc += c
-                acc *= w
-            acc += _SERIES[0]
-            w *= acc
+        w = x[far]  # the far entries' w * series(w), summed in t's free buffer
+        w *= w
+        np.divide(5.0, w, out=w)
+        acc = np.multiply(w, _SERIES[-1], out=t.reshape(-1)[: w.size])
+        for c in _SERIES[-2:0:-1]:
+            acc += c
+            acc *= w
+        acc += _SERIES[0]
+        w *= acc
         x *= -3.0
         x /= lin_scale
-        if nfar:
-            w *= x[far]
+        w *= x[far]
         x += prod
-        if nfar:
-            x[far] = w
+        x[far] = w
         np.sum(x, axis=1, out=a[i : i + rows])
     return a, b
 
@@ -151,6 +145,7 @@ def shrink_eigenvalues(
     strictly positive.  The aspect ratio p == n is rejected.  n and p are
     integers (else StructuralError).
     """
+    _instance("decomposition", decomp, SpectralDecomposition)
     n, p = _integer("n", n), _integer("p", p)
     if p != decomp.p:
         raise StructuralError(f"p={p} disagrees with decomposition size {decomp.p}")
@@ -222,6 +217,7 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
     interval by golden section to absolute log-tolerance 1e-6.
     """
+    _instance("decomposition", decomp, SpectralDecomposition)
     diag = _pop_diag(pop, decomp.p)
     lam = decomp.eigenvalues
     m = float(lam.mean())

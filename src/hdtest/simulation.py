@@ -36,7 +36,8 @@ from .detectors import (
 )
 from .errors import DomainError, StructuralError
 from .spectral import (
-    _finite_array, _integer, _pop_diag, _readonly, _real, _take, _workspace_pair, _write_csv,
+    _finite_array, _instance, _integer, _pop_diag, _readonly, _real, _take, _workspace_pair,
+    _write_csv,
 )
 # Pairs form their own SCM; pooled_scm stays importable here because
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
@@ -63,6 +64,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
     spike leaves the float range raises DomainError.
     """
     order, p = _integer("order", order), _integer("p", p)
+    _instance("rng", rng, np.random.Generator)
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
     if order < 0:
@@ -86,6 +88,7 @@ def make_covariance(order: int, p: int, rng: np.random.Generator) -> np.ndarray:
 def sample_sphere(p: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the sphere of the given radius (normalized Gaussian)."""
     p, radius = _integer("p", p), _real("radius", radius)
+    _instance("rng", rng, np.random.Generator)
     if p < 1:
         raise StructuralError(f"dimension must be >= 1, got {p}")
     if not (math.isfinite(radius) and radius >= 0.0):
@@ -117,6 +120,7 @@ def generate_sample(
     """
     diag = _pop_diag(diag)
     p, n = diag.size, _integer("n", n)
+    _instance("rng", rng, np.random.Generator)
     if n < 1:
         raise StructuralError(f"n must be >= 1, got {n}")
     mean = _finite_array(mean, "mean")
@@ -399,6 +403,7 @@ def run_trials(config: SimulationConfig) -> ScoreTable:
     detector that failed its precondition on any trial is dropped entirely,
     with the first failure in trial order as the reason.
     """
+    _instance("config", config, SimulationConfig)
     diag, scores, failures = _run(config, SIMULATE_HYPOTHESES)
     h0, h1 = ({k: _readonly(v) for k, v in s.items() if k not in failures} for s in scores)
     absent = {k: str(exc) for k, exc in failures.items()}
@@ -480,6 +485,7 @@ def null_z_samples(config: SimulationConfig) -> np.ndarray:
     a null check is consistent with the matching simulate run.  The first
     precondition failure in trial order is raised.
     """
+    _instance("config", config, SimulationConfig)
     lw = DetectorKind.PROPOSED_LW
     _, (scores,), failures = _run(replace(config, detectors=(lw,)), NULL_HYPOTHESES)
     if lw in failures:
@@ -489,6 +495,7 @@ def null_z_samples(config: SimulationConfig) -> np.ndarray:
 
 def write_scores_csv(table: ScoreTable, path) -> None:
     """Write (trial, hypothesis, detector, score) rows at full precision."""
+    _instance("table", table, ScoreTable)
     columns = [
         (tag, kind.value, scores[kind].tolist())
         for tag, scores in (("h0", table.h0), ("h1", table.h1))
@@ -502,4 +509,5 @@ def write_scores_csv(table: ScoreTable, path) -> None:
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """Write the curve's (fpr, tpr) points at full precision."""
+    _instance("curve", curve, RocCurve)
     _write_csv(path, "fpr,tpr", zip(curve.fpr, curve.tpr))

@@ -82,6 +82,13 @@ def _real(name: str, value) -> float:
     raise StructuralError(f"{name} must be a real number, got {value!r}")
 
 
+def _instance(name: str, value, kind: type) -> None:
+    """StructuralError unless value is a `kind` (one of the library's records,
+    or a numpy Generator), not an AttributeError from deep inside the call."""
+    if not isinstance(value, kind):
+        raise StructuralError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _pop_diag(pop, p: int | None = None) -> np.ndarray:
     """The one reader of a population covariance, given as its diagonal: a
     nonempty 1-D vector, of length p if p is given, with finite entries
@@ -272,6 +279,7 @@ def pooled_scm(pair: SamplePair) -> np.ndarray:
     (syrk) and mirrors, so S is exactly symmetric.  S is returned read-only.
     Finite data whose products overflow raise DomainError.
     """
+    _instance("pair", pair, SamplePair)
     c = _centred(pair)
     c1, c2 = c[:, : pair.n1], c[:, pair.n1 :]
     # an overflow, or two opposite infinities summed, is reported by _covariance
@@ -330,6 +338,7 @@ def decompose_pair(pair: SamplePair) -> SpectralDecomposition:
     through the same symmetry check and clip as the p x p path, and the same
     DomainError when its products overflow.
     """
+    _instance("pair", pair, SamplePair)
     if not pair.gram_side:
         return spectral_decompose(pair.scm)
     c = _centred(pair)
@@ -355,6 +364,7 @@ def quad_form_inverse(
     is B'(C'v), U is p x r, the null entries d[r:] must all be equal, and the
     null part adds (||v||^2 - ||U'v||^2) / d[r].
     """
+    _instance("decomposition", decomp, SpectralDecomposition)
     d = _finite_array(d, "eigenvalue vector")
     v = _finite_array(v, "vector")
     if d.shape != (decomp.p,) or v.shape != (decomp.p,):

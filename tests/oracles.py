@@ -47,10 +47,10 @@ def kernel_sums_one_shot(lams, evals, n):
     This is the library's former single-pass form of `_kernel_sums`, kept as
     the bit-for-bit reference for its chunked, in-place evaluation: each
     entry goes through the same operations in the same order, so the two
-    must agree exactly, not just to a tolerance.  Past |x| = 10 sqrt5 the a
-    term is the linear term times w * sum_k 2 w^k/((2k+1)(2k+3)), k < 8,
-    w = 5/x^2, by Horner's rule: the exact series of the near-field form
-    (derived in `_kernel_sums`).
+    must agree exactly, not just to a tolerance.  Past |x| = 10 sqrt5 (a
+    bracket below -99) the a term is the linear term times
+    w * sum_k 2 w^k/((2k+1)(2k+3)), k < 8, w = 5/x^2, by Horner's rule: the
+    exact series of the near-field form (derived in `_kernel_sums`).
     """
     sqrt5 = math.sqrt(5.0)
     lam = np.asarray(lams, dtype=float)[:, None]
@@ -64,7 +64,7 @@ def kernel_sums_one_shot(lams, evals, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         logterm = np.log(np.abs(num) / np.abs(den))
         prod = (3.0 / (4.0 * sqrt5 * math.pi * h)) * bracket * logterm
-        w = 5.0 / (x * x)  # the series is kept only where |x| > 10 sqrt5
+        w = 5.0 / (x * x)  # the series is kept only in the far field
         acc = w * coef[7]
         for c in coef[6:0:-1]:
             acc = (acc + c) * w
@@ -73,7 +73,7 @@ def kernel_sums_one_shot(lams, evals, n):
         series = lin * (w * acc)
     guarded = (np.abs(num) < 1e-300) | (np.abs(den) < 1e-300)
     prod = np.where(guarded, 0.0, prod)
-    terms = np.where(np.abs(x) > 10.0 * sqrt5, series, lin + prod)
+    terms = np.where(bracket < -99.0, series, lin + prod)
     a = np.sum(terms, axis=1)
     b = np.sum((3.0 / (4.0 * sqrt5 * h)) * np.maximum(bracket, 0.0), axis=1)
     return a, b

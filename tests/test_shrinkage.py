@@ -58,7 +58,6 @@ FIX_A_DHAT = (1.378110831940340062533876, 1.67024705898330210593391)
 # B: rank-deficient p > n case exercising the zero-eigenvalue branch.
 FIX_B_EVALS = (3.0, 1.0, 0.0, 0.0)
 FIX_B_N = 2
-FIX_B_A0 = 0.358282222939967665130087
 # from oracles.shrink_above_mp: 1/(lambda |s|^2), and 1/((c - 1) pi a(0)/n)
 FIX_B_ZERO_VALUE = 1.776866759237035333972654
 FIX_B_DHAT_POS = (2.245185195403712927047225, 1.352814072999980548599035)
@@ -296,8 +295,8 @@ class TestShrinkEigenvalues:
 
     def test_matches_the_ledoit_peche_oracle_above_p_equals_n(self):
         # fixture B, and the first H0 pair of seed 1 at p = 400, n1 = n2 = 100
-        # (c about 2) at order 0, which keeps item 1's far-field error out:
-        # its 3 largest and 17 evenly spaced retained eigenvalues
+        # (c about 2) at order 0: its 3 largest and 17 evenly spaced retained
+        # eigenvalues
         pair = first_h0_pair(400, 100, 100, 0)
         idx = np.concatenate(([0, 1, 2], np.linspace(3, pair.n - 1, 17).astype(int)))
         cases = [(decomp_from(FIX_B_EVALS), FIX_B_N, [0, 1]), (pair.decomposition, pair.n, idx)]

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -588,6 +589,46 @@ class TestRunTrials:
             assert table.h1[kind].tobytes() == reference.h1[kind].tobytes()
         if workers == "1":
             assert len(calls) == 2 * k + 1 + first_h
+
+
+@functools.cache
+def wide_null_z(p: int) -> np.ndarray:
+    """lw's null Z at p > n: n1 = n2 = 100, order 0, 300 trials, seed 0."""
+    return null_z_samples(SimulationConfig(p=p, n1=100, n2=100, cov_order=0, trials=300, seed=0))
+
+
+class TestNullZAbovePEqualsN:
+    """lw's null Z above p = n, at c = p/n about 1.3 (p = 260) and 2 (p = 400).
+
+    The N = 300 trials are independent, so the sample mean has standard
+    error s/sqrt(N), and the sample variance s^2 has standard error
+    sqrt((m4 - s^4 (N - 3)/(N - 1))/N), with m4 the fourth central moment:
+    Z's kurtosis widens that band past a normal sample's sqrt(2/(N - 1)).
+    Each band is three standard errors around the N(0, 1) value.
+    """
+
+    @pytest.mark.parametrize("p", [260, 400])
+    def test_variance_is_within_three_standard_errors_of_1(self, p):
+        z = wide_null_z(p)
+        n, var = z.size, z.var(ddof=1)
+        m4 = np.mean((z - z.mean()) ** 4)
+        se = math.sqrt((m4 - var * var * (n - 3) / (n - 1)) / n)
+        assert abs(var - 1.0) < 3.0 * se, f"variance {var:.4f}, SE {se:.4f}"
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            260,
+            pytest.param(400, marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError,
+                reason="lw centres T2 at p, and above p = n its null mean stays about 0.2",
+            )),
+        ],
+    )
+    def test_mean_is_within_three_standard_errors_of_0(self, p):
+        z = wide_null_z(p)
+        se = math.sqrt(z.var(ddof=1) / z.size)
+        assert abs(z.mean()) < 3.0 * se, f"mean {z.mean():.4f}, SE {se:.4f}"
 
 
 class TestPairScheduling:

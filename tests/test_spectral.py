@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 
 import hdtest
 from hdtest.errors import DomainError, StructuralError
+from hdtest.detectors import (
+    bs96_score,
+    cq10_score,
+    hotelling_score,
+    lappw_score,
+    lw_score,
+    mahalanobis_score,
+)
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
 from hdtest.simulation import (
     RocCurve,
@@ -17,6 +25,11 @@ from hdtest.simulation import (
     blas_pinned,
     generate_sample,
     make_covariance,
+    null_z_samples,
+    run_trials,
+    sample_sphere,
+    write_roc_csv,
+    write_scores_csv,
 )
 from hdtest.spectral import (
     SamplePair,
@@ -156,6 +169,43 @@ RAGGED = [[1.0, 2.0], [3.0]]
 )
 def test_ragged_or_non_numeric_input_is_a_structural_error(call):
     with pytest.raises(StructuralError, match="not a vector or matrix of numbers"):
+        call()
+
+
+BLOCKS = (np.ones((2, 3)), np.zeros((2, 3)))  # a pair's two blocks, not a SamplePair
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_trials({"p": 8}),
+        lambda: null_z_samples({"p": 8}),
+        lambda: mahalanobis_score(BLOCKS, np.ones(2)),
+        lambda: hotelling_score(BLOCKS),
+        lambda: lw_score(BLOCKS),
+        lambda: bs96_score(BLOCKS),
+        lambda: cq10_score(BLOCKS),
+        lambda: lappw_score(BLOCKS, np.ones(2)),
+        lambda: pooled_scm(BLOCKS),
+        lambda: decompose_pair(BLOCKS),
+        lambda: shrink_eigenvalues(np.eye(3), 8, 3),
+        lambda: optimize_loading(np.eye(2), np.ones(2)),
+        lambda: quad_form_inverse(np.eye(2), np.ones(2), np.ones(2)),
+        lambda: make_covariance(2, 50, 0),
+        lambda: sample_sphere(3, 1.0, 0),
+        lambda: generate_sample(np.ones(2), np.zeros(2), 3, 0),
+        lambda: write_scores_csv({"h0": {}, "h1": {}}, os.devnull),
+        lambda: write_roc_csv(([0.0, 1.0], [0.0, 1.0]), os.devnull),
+    ],
+    ids=[
+        "run-trials", "null-z", "mahalanobis", "hotelling", "lw", "bs96", "cq10", "lappw",
+        "pooled-scm", "decompose-pair", "shrink", "loading", "quad-form", "covariance",
+        "sphere", "sample", "scores-csv", "roc-csv",
+    ],
+)
+def test_a_wrong_record_type_is_a_structural_error(call):
+    # a seed for a Generator, a dict for a config, arrays for a record
+    with pytest.raises(StructuralError, match="must be a "):
         call()
 
 
