@@ -198,7 +198,6 @@ class LoadingResult:
     evaluations: int
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 64
 _LOG_TOL = 1e-6
 _RANGE_DECADES = 1e6
@@ -208,14 +207,18 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     """Maximize the SNR proxy of A = S + lambda*I over the loading lambda.
 
     The proxy is the direction-averaged (tr A^{-1})^2 / (p tr(A^{-1} R A^{-1})),
-    R the population covariance.  It is evaluated in the eigenbasis of S:
-    with w_i = (U'RU)_ii precomputed once (spectral.weighted_norms), each
-    evaluation costs O(p), and the scan's points are evaluated together in
-    blocks of at most _KERNEL_CHUNK entries.  A Gram-side
-    (range-plus-null) decomposition carries the null space's total weight,
-    tr R minus the range w_i.  The search scans 64 points of log-lambda over
-    [log(1e-6 m), log(1e6 m)], m = tr(S)/p, then refines the bracketing
-    interval by golden section to absolute log-tolerance 1e-6.
+    R the population covariance: A_1^2 / (p W_2) at log-loading t, with
+    A_k = sum 1/(lam_i + e^t)^k and W_k = sum w_i/(lam_i + e^t)^k in the
+    eigenbasis of S, w_i = (U'RU)_ii (spectral.weighted_norms).  On the Gram
+    side the sums run over the r range values plus one null term: eigenvalue
+    0, multiplicity p - r, weight tr R - sum(w).  The search scans 64 points
+    of t over [log(1e-6 m), log(1e6 m)], m = tr(S)/p, in row blocks of at
+    most _KERNEL_CHUNK entries.  In the bracket of the best point's
+    neighbours, Newton's method solves phi'(t) = 2 e^t (W_3/W_2 - A_2/A_1) = 0,
+    phi = 2 log A_1 - log W_2, with phi'' from A_3 and W_4, and bisects where
+    a step leaves the bracket or does not halve, or phi is not concave.  It
+    stops at log-tolerance 1e-6, or at the bracket's end where phi' keeps one
+    sign; `evaluations` counts the scan, Newton and bisection points.
     """
     _instance("decomposition", decomp, SpectralDecomposition)
     diag = _pop_diag(pop, decomp.p)
@@ -223,66 +226,47 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     m = float(lam.mean())
     if m <= 0.0:
         raise DegenerateSpectrumError("zero-trace matrix has no loading optimum")
-    w = weighted_norms(decomp, diag)
     p = decomp.p
+    w = weighted_norms(decomp, diag)
+    mult = np.ones(w.size)
     if w.size < p:
-        # The Gram side: every null direction has eigenvalue 0, so only
-        # the null weights' sum tr R - sum(w) enters; it rides on one slot.
-        w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
-    evaluations = 0
-    rows = max(1, _KERNEL_CHUNK // p)
-
-    def snr(ts) -> list:
-        """The proxy at each log-loading t in ts.  The points run in blocks
-        of at most `rows`; a block's row holds 1/(lam + e^t) and reduces as
-        one length-p vector, and the rest is float arithmetic, so a point
-        has the same bits in any block as alone."""
-        nonlocal evaluations
-        evaluations += len(ts)
-        vals = []
-        for i in range(0, len(ts), rows):
-            inv = np.add.outer([math.exp(t) for t in ts[i : i + rows]], lam)
-            np.divide(1.0, inv, out=inv)
-            weighted = w * inv
-            weighted *= inv
-            for tri, s in zip(inv.sum(axis=1).tolist(), weighted.sum(axis=1).tolist()):
-                den = p * s
-                val = tri * tri / den if den > 0.0 else math.nan
-                if not math.isfinite(val):
-                    raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
-                vals.append(val)
-        return vals
-
-    def g(t: float) -> float:
-        return snr((t,))[0]
-
-    lo = math.log(m / _RANGE_DECADES)
-    hi = math.log(m * _RANGE_DECADES)
-    if not math.isfinite(hi):
-        raise DomainError(f"loading scan range overflows at mean eigenvalue {m:.3g}")
-    ts = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = snr(ts.tolist())
+        lam = np.append(lam[: w.size], 0.0)
+        mult = np.append(mult, p - w.size)
+        w = np.append(w, diag.sum() - w.sum())
+    lo, hi = m / _RANGE_DECADES, m * _RANGE_DECADES
+    if lo == 0.0 or not math.isfinite(hi):
+        way = "underflows" if lo == 0.0 else "overflows"
+        raise DomainError(f"loading scan range {way} at mean eigenvalue {m:.3g}")
+    ts = np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS)
+    vals = np.full(_SCAN_POINTS, math.nan)
+    rows = max(1, _KERNEL_CHUNK // lam.size)
+    with np.errstate(all="ignore"):  # a proxy past the float range is reported below
+        for i in range(0, _SCAN_POINTS, rows):
+            inv = 1.0 / np.add.outer(np.exp(ts[i : i + rows]), lam)
+            a1, den = inv @ mult, p * ((inv * inv) @ w)
+            np.divide(a1 * a1, den, out=vals[i : i + rows], where=den > 0.0)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
+    # Newton's sums are scale-free: S_k = sum mult u^k, T_k = sum w u^k, u = e^t/(lam + e^t);
+    # the proxy is S_1^2/(p T_2), phi'/2 = T_3/T_2 - S_2/S_1, and du/dt = u - u^2 gives phi''/2.
+    weights, pw = np.stack((mult, w)), np.empty((4, lam.size))  # pw: u, u^2, u^3, u^4
     k = int(np.argmax(vals))
-    a = ts[max(k - 1, 0)]
-    b = ts[min(k + 1, _SCAN_POINTS - 1)]
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    while b - a > _LOG_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    best_t, best_f = max(
-        [(ts[k], vals[k]), (c, fc), (d, fd)], key=lambda pair: pair[1]
-    )
-    return LoadingResult(
-        lambda_star=math.exp(best_t),
-        snr_at_optimum=float(best_f),
-        evaluations=evaluations,
-    )
+    a, b = ts[max(k - 1, 0)], ts[min(k + 1, _SCAN_POINTS - 1)]
+    t, step, last, evaluations = float(ts[k]), math.inf, math.inf, _SCAN_POINTS
+    while True:
+        e = math.exp(t)
+        np.divide(e, lam + e, out=pw[0])
+        np.multiply(pw[0], pw[0], out=pw[1])
+        np.multiply(pw[1], pw[:2], out=pw[2:])
+        (s1, s2, s3, _), (_, t2, t3, t4) = (weights @ pw.T).tolist()
+        evaluations += 1
+        x, y = t3 / t2, s2 / s1
+        a, b = (t, b) if x > y else (a, t)
+        if abs(step) <= _LOG_TOL or b - a <= _LOG_TOL:
+            break
+        curve = x - 3.0 * t4 / t2 + 2.0 * x * x - y + 2.0 * s3 / s1 - y * y
+        new = t - (x - y) / curve if curve < 0.0 else math.nan
+        if not (a < new < b and abs(new - t) <= 0.5 * abs(last)):
+            new = 0.5 * (a + b)
+        step, last, t = new - t, step, new
+    return LoadingResult(math.exp(t), s1 * s1 / (p * t2), evaluations)

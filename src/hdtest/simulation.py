@@ -305,13 +305,31 @@ def blas_pinned():
 
 
 def _map_pairs(fn, trials: int, hypotheses: tuple) -> None:
-    """fn(t, h) for every (trial, hypothesis) pair, handed out in (t, h) order
-    to a pool of worker_count(trials, hypotheses) threads (one included) with
-    BLAS held at one thread, so the results do not depend on either count."""
-    ts = [t for t in range(trials) for _ in hypotheses]
-    hs = list(hypotheses) * trials
-    with blas_pinned(), ThreadPoolExecutor(worker_count(trials, hypotheses)) as pool:
-        list(pool.map(fn, ts, hs))
+    """fn(t, h) for every (trial, hypothesis) pair, with BLAS held at one
+    thread; each of worker_count(trials, hypotheses) threads (one included)
+    loops, taking the next pair in (t, h) order under one lock, so the
+    results depend on neither count.  Once a pair raises, no worker takes
+    another, and the error propagates."""
+    pairs = iter([(t, h) for t in range(trials) for h in hypotheses])
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(pairs, None)
+
+    def work(_) -> None:
+        nonlocal pairs
+        for pair in iter(take, None):
+            try:
+                fn(*pair)
+            except BaseException:
+                with lock:
+                    pairs = iter(())
+                raise
+
+    workers = worker_count(trials, hypotheses)
+    with blas_pinned(), ThreadPoolExecutor(workers) as pool:
+        list(pool.map(work, range(workers)))
 
 
 @dataclass(frozen=True, eq=False)

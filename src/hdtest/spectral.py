@@ -394,9 +394,7 @@ def weighted_norms(decomp: SpectralDecomposition, diag: np.ndarray) -> np.ndarra
     """
     if decomp._b is None:
         u = decomp.eigenvectors
-        w = u * u
-        w *= diag[:, None]
-        return w.sum(axis=0)
+        return diag @ (u * u)
     rows = np.flatnonzero(diag != 1.0)
     cb = decomp._c[rows] @ decomp._b
     cb *= cb

@@ -4,9 +4,9 @@ Everything here is deliberately written the slow, obvious way (or with
 high-precision arithmetic) so it shares no code with the implementation under
 test.  The exceptions are `dense_path_scores`, the p x p reference for the
 Gram-side decomposition, which composes the library's public primitives on
-the dense decomposition of the pooled covariance, `gram_side_eigenvectors`,
-which forms the Gram side's eigenvector block the way the library formerly
-did, and `loading_search_scalar`, which takes its weights from the library.
+the dense decomposition of the pooled covariance, and
+`gram_side_eigenvectors`, which forms the Gram side's eigenvector block the
+way the library formerly did.
 """
 
 import math
@@ -17,11 +17,18 @@ import numpy as np
 
 from hdtest.errors import StructuralError
 from hdtest.shrinkage import optimize_loading, shrink_eigenvalues
-from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose, weighted_norms
+from hdtest.spectral import pooled_scm, quad_form_inverse, spectral_decompose
 
 
-def kernel_ab_mp(lam, evals, n, dps=50):
-    """Kernel sums evaluated in mpmath arbitrary precision."""
+def kernel_ab_mp(lam, evals, n, dps=None):
+    """Kernel sums evaluated in mpmath arbitrary precision.
+
+    The closed form cancels about 2 log10|x| digits at x = (lam - ev)/h, so
+    by default it works at max(50, 30 + 2 ceil(log10 max|x|)) digits.
+    """
+    if dps is None:
+        x = max(abs(lam - ev) / (ev * n ** (-1.0 / 3.0)) for ev in evals)
+        dps = max(50, 30 + 2 * math.ceil(math.log10(max(x, 1.0))))
     with mp.workdps(dps):
         lam = mp.mpf(lam)
         a = mp.mpf(0)
@@ -237,61 +244,61 @@ def gram_side_eigenvectors(pair):
     return c @ (gram.eigenvectors[:, :r] / np.sqrt(pair.n * lam[:r]))
 
 
-class ScalarLoading(NamedTuple):
-    """The loading search's result, plus the index of the scan's best point."""
+class LoadingOptimum(NamedTuple):
+    """The loading search's target, plus the index of the scan's best point."""
 
-    lambda_star: float
-    snr_at_optimum: float
-    evaluations: int
+    log_loading: float
+    snr: float
     scan_argmax: int
 
 
-def loading_search_scalar(decomp, pop):
-    """The diagonal-loading search with one scalar evaluation per point.
+def loading_search_mp(decomp, pop, dps=30):
+    """The diagonal-loading search's optimum, in mpmath.
 
-    This is the library's former form of `optimize_loading`, kept as the
-    bit-for-bit reference for its block scan: the 64 scan points are taken
-    one at a time, each as a length-p vector expression, and the golden
-    section refines the bracket around the best of them.  Its weights
-    w_i = u_i' R u_i are the library's spectral.weighted_norms, the one
-    reader of a Gram-side decomposition's factored block.
+    Over all p eigenvalues, with w_i = u_i' R u_i summed from the
+    eigenvectors, A_k = sum 1/(lam_i + e^t)^k and W_k = sum w_i/(lam_i + e^t)^k;
+    a Gram-side decomposition's p - r null directions have eigenvalue 0 and
+    share the weight tr R - sum of the range w_i.  The proxy
+    A_1^2 / (p W_2) is scanned at 64 points of t over [log(1e-6 m), log(1e6 m)],
+    m the mean eigenvalue.  In the bracket of the best point's neighbours the
+    optimum is the root of W_3/W_2 - A_2/A_1 (phi'(t) / (2 e^t) for
+    phi = 2 log A_1 - log W_2) or, where that keeps one sign, the bracket
+    end with the larger proxy.
     """
-    diag = np.asarray(pop)
+    diag = [float(d) for d in pop]
     lam = decomp.eigenvalues
-    p = decomp.p
-    w = weighted_norms(decomp, diag)
-    if w.size < p:
-        w = np.concatenate((w, [diag.sum() - w.sum()], np.zeros(p - w.size - 1)))
-    count = 0
+    vecs = np.asarray(decomp.eigenvectors)
+    p, r = vecs.shape
+    with mp.workdps(dps):
+        w = [mp.fsum(d * mp.mpf(float(x)) ** 2 for d, x in zip(diag, vecs[:, i])) for i in range(r)]
+        terms = [(mp.mpf(float(lam[i])), 1, w[i]) for i in range(r)]
+        if r < p:
+            terms.append((mp.mpf(0), p - r, mp.fsum(diag) - mp.fsum(w)))
 
-    def g(t):
-        nonlocal count
-        count += 1
-        inv = 1.0 / (lam + math.exp(t))
-        tri = float(inv.sum())
-        den = p * float((w * inv * inv).sum())
-        return tri * tri / den
+        def sums(t, k):
+            e = mp.exp(t)
+            return (
+                mp.fsum(mult / (ev + e) ** k for ev, mult, _ in terms),
+                mp.fsum(wi / (ev + e) ** k for ev, _, wi in terms),
+            )
 
-    m = float(lam.mean())
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    ts = np.linspace(math.log(m / 1e6), math.log(m * 1e6), 64)
-    vals = [g(t) for t in ts]
-    k = int(np.argmax(vals))
-    a, b = ts[max(k - 1, 0)], ts[min(k + 1, 63)]
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = g(c), g(d)
-    while b - a > 1e-6:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = g(c)
+        def proxy(t):
+            return sums(t, 1)[0] ** 2 / (p * sums(t, 2)[1])
+
+        def slope(t):
+            (a1, _), (a2, w2), (_, w3) = sums(t, 1), sums(t, 2), sums(t, 3)
+            return w3 / w2 - a2 / a1
+
+        m = float(lam.mean())
+        ts = [mp.mpf(float(t)) for t in np.linspace(math.log(m / 1e6), math.log(m * 1e6), 64)]
+        vals = [proxy(t) for t in ts]
+        k = max(range(64), key=vals.__getitem__)
+        a, b = ts[max(k - 1, 0)], ts[min(k + 1, 63)]
+        if slope(a) > 0 > slope(b):
+            best = mp.findroot(slope, (a, b), solver="anderson")
         else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = g(d)
-    best_t, best_f = max([(ts[k], vals[k]), (c, fc), (d, fd)], key=lambda pt: pt[1])
-    return ScalarLoading(math.exp(best_t), float(best_f), count, k)
+            best = a if proxy(a) > proxy(b) else b
+        return LoadingOptimum(float(best), float(proxy(best)), k)
 
 
 def roc_points_unique(h0, h1):

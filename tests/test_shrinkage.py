@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from hdtest.spectral import (
 from oracles import (
     kernel_ab_mp,
     kernel_sums_one_shot,
-    loading_search_scalar,
+    loading_search_mp,
     null_moments,
     oracle_diagnostics,
     shrink_above_mp,
@@ -490,6 +491,22 @@ class TestOptimizeLoading:
         with pytest.raises(DomainError, match="SNR proxy is not finite"):
             optimize_loading(decomp_from([1e300, 1e300]), np.ones(2))
 
+    @pytest.mark.parametrize(
+        "evals, match",
+        [
+            ([1e-300, 1e-300], "SNR proxy is not finite"),
+            ([1e-310, 1e-310], "SNR proxy is not finite"),
+            ([2e-320, 1e-320], "scan range underflows"),
+        ],
+    )
+    def test_tiny_spectrum_is_a_domain_error_without_warnings(self, evals, match):
+        # 1/(lam + loading)^2 overflows at the first two; at the third, 1e-6
+        # times the mean eigenvalue 1.5e-320 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                optimize_loading(decomp_from(evals), np.ones(2))
+
 
 def loading_pair(p, order, seed):
     rng = np.random.default_rng(seed)
@@ -502,16 +519,19 @@ def loading_pair(p, order, seed):
 
 
 class TestBlockScan:
-    """optimize_loading evaluates its 64 scan points in blocks; every field
-    of its result has the bits of the one-point-at-a-time search, which
-    takes the same w from weighted_norms on either side of p = N."""
+    """optimize_loading scans 64 points in blocks, then solves phi' = 0 in
+    the bracket of the best one's neighbours; on either side of p = N its
+    optimum is the mpmath scan-and-root's, within the 1e-6 log tolerance,
+    with the proxy's value there to 1e-12."""
 
     @staticmethod
     def check(decomp, pop):
-        want = loading_search_scalar(decomp, pop)
+        want = loading_search_mp(decomp, pop)
         got = optimize_loading(decomp, pop)
-        assert got == LoadingResult(want.lambda_star, want.snr_at_optimum, want.evaluations)
-        return want
+        assert abs(math.log(got.lambda_star) - want.log_loading) <= 1e-6
+        assert got.snr_at_optimum == pytest.approx(want.snr, rel=1e-12)
+        assert got.evaluations > 64
+        return want, got
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("p", [60, 150], ids=["p<=N", "p>N"])
@@ -525,18 +545,19 @@ class TestBlockScan:
     @pytest.mark.parametrize("rows", [64, 9, 1])  # 64 = 7 * 9 + 1
     def test_scan_blocks_match_the_scalar_scan(self, monkeypatch, rows):
         pair, model = loading_pair(60, 2, 0)
+        whole = optimize_loading(pair.decomposition, model)
         monkeypatch.setattr(shrinkage, "_KERNEL_CHUNK", rows * 60)
-        self.check(pair.decomposition, model)
+        assert self.check(pair.decomposition, model)[1] == whole
 
     @pytest.mark.parametrize(
         "pop, edge", [(lambda ev: ev, 0), (np.ones_like, 63)], ids=["bottom", "top"]
     )
     def test_optimum_at_a_scan_edge(self, pop, edge):
         # R equal to the spectrum peaks at the smallest loading, R = I at the
-        # largest; the golden section then brackets against the scan's end
+        # largest; phi' then keeps its sign across the bracket at the scan's end
         for evals in ([4.0, 2.0, 1.0, 0.5], [100.0, 1.0, 0.01]):
             decomp = decomp_from(evals)
-            assert self.check(decomp, pop(decomp.eigenvalues)).scan_argmax == edge
+            assert self.check(decomp, pop(decomp.eigenvalues))[0].scan_argmax == edge
 
 
 NULL_STREAMS = 400

@@ -665,6 +665,64 @@ class TestPairScheduling:
         assert len(threads) == 2
         assert table.absent == {}
 
+    def test_each_pair_is_taken_once_under_contention(self, monkeypatch):
+        """Eight workers on a short switch interval: a pair taken twice, or
+        lost, between the workers' loops shows in the pairs drawn."""
+        monkeypatch.setenv("HDTEST_THREADS", "8")
+        seen = []
+
+        def trial_rng(seed, t, h, inner=simulation._trial_rng):
+            seen.append((t, h))
+            return inner(seed, t, h)
+
+        monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
+        cfg = SimulationConfig(p=8, n1=10, n2=12, trials=150, seed=5, detectors=("cq10",))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            run_trials(cfg)
+            assert time.monotonic() - start < 60.0
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == [(t, h) for t in range(cfg.trials) for h in (0, 1)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "engine, detector",
+        [(run_trials, "hotelling"), (null_z_samples, "lw")],
+        ids=["run_trials", "null_z_samples"],
+    )
+    def test_an_unexpected_error_stops_the_engine(self, engine, detector, workers, monkeypatch):
+        """A RuntimeError from the fifth detector call propagates, and once it
+        is raised no worker starts more than one further pair: the other
+        worker may have taken its next pair already, the raising one none."""
+        monkeypatch.setenv("HDTEST_THREADS", workers)
+        lock, raised = threading.Lock(), threading.Event()
+        calls, late = [], []  # detector calls; the thread of each pair started after the raise
+        name = f"{detector}_score"
+
+        def score(pair, inner=getattr(simulation, name)):
+            with lock:
+                calls.append(None)
+                if len(calls) == 5:
+                    raised.set()
+                    raise RuntimeError("not a precondition failure")
+            return inner(pair)
+
+        def trial_rng(seed, t, h, inner=simulation._trial_rng):
+            if raised.is_set():
+                late.append(threading.get_ident())
+            return inner(seed, t, h)
+
+        monkeypatch.setattr(simulation, name, score)
+        monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
+        cfg = SimulationConfig(p=8, n1=10, n2=12, trials=40, seed=5, detectors=(detector,))
+        with pytest.raises(RuntimeError, match="not a precondition"):
+            engine(cfg)
+        assert len(late) <= int(workers) - 1
+        assert len(calls) <= 5 + 2 * (int(workers) - 1)
+
     @pytest.mark.parametrize(
         "threads, trials, simulate, null", [("3", 1, 2, 1), ("3", 2, 3, 2), ("1", 5, 1, 1)]
     )
