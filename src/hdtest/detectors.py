@@ -34,10 +34,6 @@ from .shrinkage import optimize_loading, shrink_eigenvalues
 # perfbench/test_perfbench.py checks that its tracer rewraps it here.
 from .spectral import SamplePair, _instance, _pop_diag, pooled_scm, quad_form_inverse  # noqa: F401
 
-# Relative eigenvalue floor below which the plain sample covariance is
-# declared numerically singular for the classical statistic.
-HOTELLING_SINGULARITY_TOL = 1e-12
-
 
 class DetectorKind(enum.Enum):
     """Detector identities; values are the stable CLI / serialization names."""
@@ -91,7 +87,7 @@ def hotelling_score(pair: SamplePair) -> ScoreResult:
         )
     decomp = pair.decomposition
     lam = decomp.eigenvalues
-    if lam[0] <= 0.0 or lam[-1] < HOTELLING_SINGULARITY_TOL * lam[0]:
+    if lam[-1] <= 0.0:  # spectral_decompose's clip zeroes every |lambda| <= 1e-10 lambda_1
         raise SingularCovarianceError("pooled sample covariance is numerically singular")
     score = quad_form_inverse(decomp, lam, pair.mean_diff)
     return ScoreResult(DetectorKind.HOTELLING, score)

@@ -34,9 +34,9 @@ _LOG_GUARD = 1e-300
 _FAR_BRACKET = -99.0
 _SERIES = tuple(2.0 / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
 
-# Entries per work buffer: the kernel sums take their points, and the loading
-# scan its points, in row chunks of about this many entries, so the working
-# set stays a few buffers of at most 512 KiB whatever the sizes.
+# Entries per work buffer: the kernel sums take their points in row chunks of
+# about this many entries, so the working set stays a few buffers of at most
+# 512 KiB whatever the sizes.
 _KERNEL_CHUNK = 1 << 16
 
 
@@ -158,8 +158,6 @@ def shrink_eigenvalues(
     evs = decomp.eigenvalues
     if np.any(evs < 0.0):
         raise DegenerateSpectrumError("negative sample eigenvalue: input is not PSD")
-    if evs.size == 0:
-        raise DomainError("empty eigenvalue set")
     m = min(n, p)
     c = m / n
     retained = evs[:m]
@@ -207,22 +205,26 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     """Maximize the SNR proxy of A = S + lambda*I over the loading lambda.
 
     The proxy is the direction-averaged (tr A^{-1})^2 / (p tr(A^{-1} R A^{-1})),
-    R the population covariance: A_1^2 / (p W_2) at log-loading t, with
-    A_k = sum 1/(lam_i + e^t)^k and W_k = sum w_i/(lam_i + e^t)^k in the
-    eigenbasis of S, w_i = (U'RU)_ii (spectral.weighted_norms).  On the Gram
-    side the sums run over the r range values plus one null term: eigenvalue
-    0, multiplicity p - r, weight tr R - sum(w).  The search scans 64 points
-    of t over [log(1e-6 m), log(1e6 m)], m = tr(S)/p, in row blocks of at
-    most _KERNEL_CHUNK entries.  In the bracket of the best point's
-    neighbours, Newton's method solves phi'(t) = 2 e^t (W_3/W_2 - A_2/A_1) = 0,
-    phi = 2 log A_1 - log W_2, with phi'' from A_3 and W_4, and bisects where
-    a step leaves the bracket or does not halve, or phi is not concave.  It
-    stops at log-tolerance 1e-6, or at the bracket's end where phi' keeps one
-    sign; `evaluations` counts the scan, Newton and bisection points.
+    R the population covariance: S_1^2 / (p T_2) at log-loading t, with
+    S_k = sum u_i^k, T_k = sum w_i u_i^k, u_i = e^t/(lam_i + e^t) in (0, 1] and
+    w_i = (U'RU)_ii in the eigenbasis of S (spectral.weighted_norms).  On the
+    Gram side the sums run over the r range values plus one null term:
+    eigenvalue 0, multiplicity p - r, weight tr R - sum(w).  The search scans
+    64 points of t over [log(1e-6 m), log(1e6 m)], m = tr(S)/p, as one array.
+    In the bracket of the best point's neighbours, Newton's method solves
+    phi'(t) = 2 (T_3/T_2 - S_2/S_1) = 0, phi = 2 log S_1 - log T_2, with phi''
+    from S_3 and T_4, and bisects where a step leaves the bracket or does not
+    halve, or phi is not concave.  It stops at log-tolerance 1e-6, or at the
+    bracket's end where phi' keeps one sign; `evaluations` counts the scan,
+    Newton and bisection points.  A negative eigenvalue is a
+    DegenerateSpectrumError; a scan range past the float range (its top plus
+    lam_1 included), or a proxy past it, a DomainError.
     """
     _instance("decomposition", decomp, SpectralDecomposition)
     diag = _pop_diag(pop, decomp.p)
     lam = decomp.eigenvalues
+    if np.any(lam < 0.0):
+        raise DegenerateSpectrumError("negative sample eigenvalue: input is not PSD")
     m = float(lam.mean())
     if m <= 0.0:
         raise DegenerateSpectrumError("zero-trace matrix has no loading optimum")
@@ -233,24 +235,19 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
         lam = np.append(lam[: w.size], 0.0)
         mult = np.append(mult, p - w.size)
         w = np.append(w, diag.sum() - w.sum())
+    # The proxy scales as 1/c with R -> cR: an exact power of two takes w into [0.5, 1).
+    scale = math.frexp(float(w.max()))[1]
+    w = np.ldexp(w, -scale)
     lo, hi = m / _RANGE_DECADES, m * _RANGE_DECADES
-    if lo == 0.0 or not math.isfinite(hi):
+    if lo == 0.0 or not math.isfinite(hi + float(lam.max())):
         way = "underflows" if lo == 0.0 else "overflows"
         raise DomainError(f"loading scan range {way} at mean eigenvalue {m:.3g}")
     ts = np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS)
-    vals = np.full(_SCAN_POINTS, math.nan)
-    rows = max(1, _KERNEL_CHUNK // lam.size)
-    with np.errstate(all="ignore"):  # a proxy past the float range is reported below
-        for i in range(0, _SCAN_POINTS, rows):
-            inv = 1.0 / np.add.outer(np.exp(ts[i : i + rows]), lam)
-            a1, den = inv @ mult, p * ((inv * inv) @ w)
-            np.divide(a1 * a1, den, out=vals[i : i + rows], where=den > 0.0)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("SNR proxy is not finite: the spectrum's scale leaves the float range")
-    # Newton's sums are scale-free: S_k = sum mult u^k, T_k = sum w u^k, u = e^t/(lam + e^t);
-    # the proxy is S_1^2/(p T_2), phi'/2 = T_3/T_2 - S_2/S_1, and du/dt = u - u^2 gives phi''/2.
+    e = np.exp(ts)[:, None]
+    u = e / (lam + e)
+    k = int(np.argmax((u @ mult) ** 2 / ((u * u) @ w)))
+    # Newton's sums, one point at a time; du/dt = u - u^2 gives phi''/2.
     weights, pw = np.stack((mult, w)), np.empty((4, lam.size))  # pw: u, u^2, u^3, u^4
-    k = int(np.argmax(vals))
     a, b = ts[max(k - 1, 0)], ts[min(k + 1, _SCAN_POINTS - 1)]
     t, step, last, evaluations = float(ts[k]), math.inf, math.inf, _SCAN_POINTS
     while True:
@@ -269,4 +266,8 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
         if not (a < new < b and abs(new - t) <= 0.5 * abs(last)):
             new = 0.5 * (a + b)
         step, last, t = new - t, step, new
-    return LoadingResult(math.exp(t), s1 * s1 / (p * t2), evaluations)
+    try:
+        snr = math.ldexp(s1 * s1 / (p * t2), -scale)
+    except OverflowError:
+        raise DomainError("SNR proxy overflows: R's scale leaves the float range") from None
+    return LoadingResult(math.exp(t), snr, evaluations)

@@ -206,7 +206,7 @@ def _workspace_pair(x1: np.ndarray, x2: np.ndarray, workspace: dict) -> SamplePa
 class SpectralDecomposition:
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors.
 
-    A caller's decomposition is a full basis: p eigenvalues and a p x p
+    A caller's decomposition is a full basis: p >= 1 eigenvalues and a p x p
     eigenvector array, each read by _finite_array and kept as a read-only
     copy, the eigenvectors in C order, the layout whose BLAS path fixes the
     bits of U'v.  Decompositions compare by identity.
@@ -226,8 +226,8 @@ class SpectralDecomposition:
     def __init__(self, eigenvalues, eigenvectors):
         vals = _readonly(np.array(_finite_array(eigenvalues, "eigenvalues")))
         vecs = _finite_array(eigenvectors, "eigenvectors")
-        if vals.ndim != 1 or vecs.shape != (vals.size, vals.size):
-            raise StructuralError("inconsistent decomposition shapes: need a full p x p basis")
+        if vals.ndim != 1 or vals.size == 0 or vecs.shape != (vals.size, vals.size):
+            raise StructuralError("inconsistent decomposition: need a full p x p basis, p >= 1")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "_vecs", _readonly(np.array(vecs, order="C")))
 
@@ -244,11 +244,13 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-def _factored(vals: np.ndarray, c: np.ndarray, b: np.ndarray) -> SpectralDecomposition:
-    """decompose_pair's range-plus-null result, with its p x r block kept as
-    c @ b: arrays the library has just made, frozen in place unchecked."""
+def _factored(vals: np.ndarray, *factors: np.ndarray) -> SpectralDecomposition:
+    """A decomposition of arrays the library has just made, frozen in place
+    unchecked: a full p x p basis (one factor, from spectral_decompose), or
+    decompose_pair's range-plus-null result, its p x r block kept as c @ b."""
     decomp = object.__new__(SpectralDecomposition)
-    for name, a in (("eigenvalues", vals), ("_c", c), ("_b", b)):
+    names = ("_vecs",) if len(factors) == 1 else ("_c", "_b")
+    for name, a in zip(("eigenvalues", *names), (vals, *factors)):
         object.__setattr__(decomp, name, _readonly(a))
     return decomp
 
@@ -321,7 +323,7 @@ def spectral_decompose(m) -> SpectralDecomposition:
     if top > 0.0:
         tiny = np.abs(vals) <= EIGENVALUE_CLIP * top
         vals[tiny] = 0.0
-    return SpectralDecomposition(vals, vecs[:, ::-1])
+    return _factored(np.ascontiguousarray(vals), np.ascontiguousarray(vecs[:, ::-1]))
 
 
 def decompose_pair(pair: SamplePair) -> SpectralDecomposition:

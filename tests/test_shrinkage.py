@@ -111,9 +111,9 @@ class TestKernelContext:
             shrink_eigenvalues(decomp_from([2.0, 0.0, 0.0, 0.0]), 2, 4)
 
     def test_rejects_empty(self):
-        empty = SpectralDecomposition(np.array([]), np.zeros((0, 0)))
-        with pytest.raises(DomainError, match="empty eigenvalue set"):
-            shrink_eigenvalues(empty, 8, 0)
+        # an empty decomposition cannot be made, so shrinkage never sees one
+        with pytest.raises(StructuralError, match="p >= 1"):
+            SpectralDecomposition(np.array([]), np.zeros((0, 0)))
 
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError, match="effective sample size"):
@@ -484,28 +484,58 @@ class TestOptimizeLoading:
         # 1e6 times the mean eigenvalue 1e305 overflows
         with pytest.raises(DomainError, match="scan range overflows"):
             optimize_loading(decomp_from([1e305, 1e305]), np.ones(2))
+        # the top, 2.5e5 times the largest eigenvalue here, is finite, but the
+        # top plus that eigenvalue is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="scan range overflows"):
+                optimize_loading(decomp_from([7.19076e302, 0.0, 0.0, 0.0]), np.ones(4))
 
-    def test_underflowing_objective_is_a_domain_error(self):
-        # the scan range is finite, but (1/(1e300 + loading))^2 underflows to
-        # 0 for unit weights, so the proxy's denominator vanishes
-        with pytest.raises(DomainError, match="SNR proxy is not finite"):
-            optimize_loading(decomp_from([1e300, 1e300]), np.ones(2))
+    @pytest.mark.parametrize("evals", [[1e300, 1e300], [1e-300, 1e-300], [1e-310, 1e-310]])
+    def test_flat_spectrum_at_the_float_edges_gives_one(self, evals):
+        # R = I and equal eigenvalues: the proxy is identically 1 (Cauchy-Schwarz
+        # equality), and the scale-free sums stay finite at either end of the range
+        decomp, pop = decomp_from(evals), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_loading(decomp, pop)
+        want = loading_search_mp(decomp, pop)
+        assert want.snr == pytest.approx(1.0, abs=1e-12)
+        assert res.snr_at_optimum == pytest.approx(want.snr, abs=1e-12)
+        m = float(decomp.eigenvalues.mean())
+        assert m * 1e-6 * (1 - 1e-9) <= res.lambda_star <= m * 1e6 * (1 + 1e-9)
 
     @pytest.mark.parametrize(
         "evals, match",
-        [
-            ([1e-300, 1e-300], "SNR proxy is not finite"),
-            ([1e-310, 1e-310], "SNR proxy is not finite"),
-            ([2e-320, 1e-320], "scan range underflows"),
-        ],
+        [([2e-320, 1e-320], "scan range underflows")],
     )
     def test_tiny_spectrum_is_a_domain_error_without_warnings(self, evals, match):
-        # 1/(lam + loading)^2 overflows at the first two; at the third, 1e-6
-        # times the mean eigenvalue 1.5e-320 underflows to 0
+        # 1e-6 times the mean eigenvalue 1.5e-320 underflows to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=match):
                 optimize_loading(decomp_from(evals), np.ones(2))
+
+    def test_negative_eigenvalue_is_degenerate(self):
+        # S + lambda I would be indefinite for lambda < 0.5
+        with pytest.raises(DegenerateSpectrumError, match="negative"):
+            optimize_loading(decomp_from([2.0, -0.5]), np.ones(2))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_population_scale_moves_only_the_proxy(self, scale):
+        # the proxy scales as 1/c with R -> cR, and the optimum does not move
+        pair, model = loading_pair(60, 2, 0)
+        base = optimize_loading(pair.decomposition, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_loading(pair.decomposition, model * scale)
+        assert res.lambda_star == pytest.approx(base.lambda_star, rel=1e-9)
+        assert res.snr_at_optimum == pytest.approx(base.snr_at_optimum / scale, rel=1e-9)
+
+    def test_proxy_past_the_float_range_is_a_domain_error(self):
+        # R = 1e-310 I: the proxy is about 1e310
+        with pytest.raises(DomainError, match="SNR proxy overflows"):
+            optimize_loading(decomp_from([1.0, 1.0]), np.full(2, 1e-310))
 
 
 def loading_pair(p, order, seed):
@@ -519,7 +549,7 @@ def loading_pair(p, order, seed):
 
 
 class TestBlockScan:
-    """optimize_loading scans 64 points in blocks, then solves phi' = 0 in
+    """optimize_loading scans 64 points as one array, then solves phi' = 0 in
     the bracket of the best one's neighbours; on either side of p = N its
     optimum is the mpmath scan-and-root's, within the 1e-6 log tolerance,
     with the proxy's value there to 1e-12."""
@@ -541,13 +571,6 @@ class TestBlockScan:
             decomp = pair.decomposition
             assert (decomp._b is None) == (p <= 80)
             self.check(decomp, model)
-
-    @pytest.mark.parametrize("rows", [64, 9, 1])  # 64 = 7 * 9 + 1
-    def test_scan_blocks_match_the_scalar_scan(self, monkeypatch, rows):
-        pair, model = loading_pair(60, 2, 0)
-        whole = optimize_loading(pair.decomposition, model)
-        monkeypatch.setattr(shrinkage, "_KERNEL_CHUNK", rows * 60)
-        assert self.check(pair.decomposition, model)[1] == whole
 
     @pytest.mark.parametrize(
         "pop, edge", [(lambda ev: ev, 0), (np.ones_like, 63)], ids=["bottom", "top"]

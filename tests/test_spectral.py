@@ -336,7 +336,7 @@ class TestSpectralDecompose:
         d1 = spectral_decompose(m)
         d2 = spectral_decompose(m)
         np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
-        assert d1.eigenvectors.flags.c_contiguous
+        assert d1.eigenvectors.flags.c_contiguous and d1.eigenvalues.flags.c_contiguous
 
     def test_rejects_asymmetric(self):
         with pytest.raises(StructuralError):
