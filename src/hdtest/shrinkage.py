@@ -225,7 +225,8 @@ def optimize_loading(decomp: SpectralDecomposition, pop) -> LoadingResult:
     lam = decomp.eigenvalues
     if np.any(lam < 0.0):
         raise DegenerateSpectrumError("negative sample eigenvalue: input is not PSD")
-    m = float(lam.mean())
+    with np.errstate(over="ignore"):  # an infinite mean fails the range check below
+        m = float(lam.mean())
     if m <= 0.0:
         raise DegenerateSpectrumError("zero-trace matrix has no loading optimum")
     p = decomp.p

@@ -2,12 +2,12 @@
 
 A run is a pure function of its configuration.  Per-trial randomness comes
 from seed streams derived as SeedSequence([seed, stream, trial, hypothesis]),
-so results are bit-identical regardless of how many worker threads execute
-the (trial, hypothesis) pairs (each pair writes into its own preallocated
-slot).  While the trial engine runs, numpy's OpenBLAS is held at one
-thread, so the bits do not depend on the BLAS thread count either.  A
-detector that fails its precondition is not scored on later trials; its
-first failure in trial order is the one reported, at any worker count.
+so results are bit-identical at any worker count: each worker loops, taking
+(trial, hypothesis) pairs in order under the run's one lock, and each pair
+writes its own preallocated slot.  numpy's OpenBLAS is held at one thread
+while the engine runs.  A detector that fails its precondition is not
+scored on later trials, and its first failure in trial order is the one
+reported; a pair that no detector still needs is skipped, never drawn.
 """
 
 from __future__ import annotations
@@ -304,34 +304,6 @@ def blas_pinned():
                     lib.set(n)
 
 
-def _map_pairs(fn, trials: int, hypotheses: tuple) -> None:
-    """fn(t, h) for every (trial, hypothesis) pair, with BLAS held at one
-    thread; each of worker_count(trials, hypotheses) threads (one included)
-    loops, taking the next pair in (t, h) order under one lock, so the
-    results depend on neither count.  Once a pair raises, no worker takes
-    another, and the error propagates."""
-    pairs = iter([(t, h) for t in range(trials) for h in hypotheses])
-    lock = threading.Lock()
-
-    def take():
-        with lock:
-            return next(pairs, None)
-
-    def work(_) -> None:
-        nonlocal pairs
-        for pair in iter(take, None):
-            try:
-                fn(*pair)
-            except BaseException:
-                with lock:
-                    pairs = iter(())
-                raise
-
-    workers = worker_count(trials, hypotheses)
-    with blas_pinned(), ThreadPoolExecutor(workers) as pool:
-        list(pool.map(work, range(workers)))
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Scores for both hypotheses, one column per surviving detector (compared by identity)."""
@@ -370,46 +342,63 @@ def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     drawn first, fresh from the radius sphere.  The population diagonal's
     eps draws are fixed once per run.
 
-    failures maps each detector that raised a DomainError to its first
-    failure in (t, h) order; its keys run in order of that t, then of
-    config.detectors.  Other errors propagate.  A detector is skipped only
-    after a failure at an earlier (t, h), so that first failure is found at
-    any worker count, and a pair no detector still needs is not drawn.
+    Each of worker_count(trials, hypotheses) threads loops with BLAS held at
+    one thread, taking the next (t, h) in order under the run's one lock,
+    which also guards failures: each detector that raised a DomainError ->
+    its first failure in (t, h) order, keyed in order of that t, then of
+    config.detectors.  A pair is taken with the detectors that have not
+    failed at an earlier (t, h), so that first failure is found at any
+    worker count, and a pair none needs is skipped, never drawn.  Any other
+    error stops every worker from taking another pair, and propagates.
 
-    Each worker thread forms its pairs in one workspace (see _workspace_pair)
-    that lives as long as the run, so a pair reuses its predecessor's
-    memory; no pair outlives its call, as a kept failure holds no traceback.
+    Each worker forms its pairs in one workspace (see _workspace_pair) that
+    lives as long as the run, so a pair reuses its predecessor's memory; no
+    pair outlives its turn, as a kept failure holds no traceback.
     """
     model_rng = np.random.default_rng(np.random.SeedSequence(model_seed(config.seed)))
     diag = make_covariance(config.cov_order, config.p, model_rng)
     zeros = np.zeros(config.p)
     scores = {h: {k: np.empty(config.trials) for k in config.detectors} for h in hypotheses}
     first = {}  # detector -> ((trial, hypothesis), error), the earliest failure so far
-    lock = threading.Lock()
-    local = threading.local()  # .ws: the calling worker's workspace
+    pairs = iter([(t, h) for t in range(config.trials) for h in hypotheses])
+    lock = threading.Lock()  # guards pairs and first
 
-    def one_pair(t: int, h: int) -> None:
+    def take():
         with lock:
-            kinds = [k for k in config.detectors if k not in first or first[k][0] > (t, h)]
-        if not kinds:
-            return
-        ws = local.__dict__.setdefault("ws", {})
-        rng = _trial_rng(config.seed, t, h)
-        mu = sample_sphere(config.p, config.radius, rng) if h else zeros
-        x1 = _take(ws, "x1", (config.p, config.n1))
-        x1 = generate_sample(diag, mu, config.n1, rng, config.base_dist, out=x1)
-        x2 = _take(ws, "x2", (config.p, config.n2))
-        x2 = generate_sample(diag, zeros, config.n2, rng, config.base_dist, out=x2)
-        pair = _workspace_pair(x1, x2, ws)
-        for kind in kinds:
-            try:
-                scores[h][kind][t] = _DETECTORS[kind](pair, diag).score
-            except DomainError as exc:
-                with lock:
-                    if kind not in first or first[kind][0] > (t, h):
-                        first[kind] = ((t, h), exc.with_traceback(None))
+            for t, h in pairs:
+                kinds = [k for k in config.detectors if k not in first or first[k][0] > (t, h)]
+                if kinds:
+                    return t, h, kinds
+        return None
 
-    _map_pairs(one_pair, config.trials, hypotheses)
+    def work(_) -> None:
+        nonlocal pairs
+        ws = {}
+        for t, h, kinds in iter(take, None):
+            try:
+                rng = _trial_rng(config.seed, t, h)
+                mu = sample_sphere(config.p, config.radius, rng) if h else zeros
+                x1 = _take(ws, "x1", (config.p, config.n1))
+                x1 = generate_sample(diag, mu, config.n1, rng, config.base_dist, out=x1)
+                x2 = _take(ws, "x2", (config.p, config.n2))
+                x2 = generate_sample(diag, zeros, config.n2, rng, config.base_dist, out=x2)
+                pair = _workspace_pair(x1, x2, ws)
+                for kind in kinds:
+                    try:
+                        scores[h][kind][t] = _DETECTORS[kind](pair, diag).score
+                    except DomainError as exc:
+                        with lock:
+                            if kind not in first or first[kind][0] > (t, h):
+                                first[kind] = ((t, h), exc.with_traceback(None))
+                del pair
+            except BaseException:
+                with lock:
+                    pairs = iter(())
+                raise
+
+    workers = worker_count(config.trials, hypotheses)
+    with blas_pinned(), ThreadPoolExecutor(workers) as pool:
+        list(pool.map(work, range(workers)))
     order = sorted(first, key=lambda k: (first[k][0][0], config.detectors.index(k)))
     return diag, tuple(scores.values()), {k: first[k][1] for k in order}
 

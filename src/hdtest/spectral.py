@@ -109,10 +109,11 @@ class SamplePair:
     """Two independent samples sharing one coordinate space.
 
     x1 and x2 are p x n1 and p x n2 blocks of observations, one column per
-    observation, each 2-D with at least 2 columns and finite entries, read by
-    _finite_array.  Each is kept as a read-only copy, so the caller's array
-    stays writable; an engine pair (see _workspace_pair) freezes the engine's
-    own blocks in place instead.  Pairs compare by identity.
+    observation, each 2-D with p >= 1 rows, at least 2 columns and finite
+    entries, read by _finite_array.  Each is kept as a read-only copy, so the
+    caller's array stays writable; an engine pair (see _workspace_pair)
+    freezes the engine's own blocks in place instead.  Pairs compare by
+    identity.
 
     The group means xbar1, xbar2 and their difference mean_diff are computed
     once, at construction, and frozen in place.  The pooled covariance `scm`
@@ -128,8 +129,8 @@ class SamplePair:
     def __post_init__(self):
         for name in ("x1", "x2"):
             e = _finite_array(getattr(self, name), "data matrix")
-            if e.ndim != 2:
-                raise StructuralError(f"data matrix must be 2-D, got shape {e.shape}")
+            if e.ndim != 2 or e.shape[0] < 1:
+                raise StructuralError(f"data matrix must be 2-D with p >= 1 rows, got {e.shape}")
             if e.shape[1] < 2:
                 raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
             object.__setattr__(self, name, _readonly(np.array(e) if self._ws is None else e))

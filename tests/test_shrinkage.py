@@ -485,11 +485,14 @@ class TestOptimizeLoading:
         with pytest.raises(DomainError, match="scan range overflows"):
             optimize_loading(decomp_from([1e305, 1e305]), np.ones(2))
         # the top, 2.5e5 times the largest eigenvalue here, is finite, but the
-        # top plus that eigenvalue is not
+        # top plus that eigenvalue is not; and a mean whose sum overflows is
+        # reported by the same check, with no numpy warning first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="scan range overflows"):
                 optimize_loading(decomp_from([7.19076e302, 0.0, 0.0, 0.0]), np.ones(4))
+            with pytest.raises(DomainError, match="scan range overflows"):
+                optimize_loading(decomp_from([1.7e308, 1.7e308]), np.ones(2))
 
     @pytest.mark.parametrize("evals", [[1e300, 1e300], [1e-300, 1e-300], [1e-310, 1e-310]])
     def test_flat_spectrum_at_the_float_edges_gives_one(self, evals):

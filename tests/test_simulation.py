@@ -665,6 +665,27 @@ class TestPairScheduling:
         assert len(threads) == 2
         assert table.absent == {}
 
+    def test_each_worker_reuses_one_workspace(self, monkeypatch):
+        """Every pair a worker draws has its x1 block in the same buffer, and
+        the two workers' buffers differ.  The blocks are kept alive, so a
+        fresh buffer per pair cannot land on a freed one's address."""
+        monkeypatch.setenv("HDTEST_THREADS", "2")
+        lock, kept, buffers = threading.Lock(), [], {}
+
+        def cq10(pair, inner=simulation.cq10_score):
+            with lock:
+                kept.append(pair.x1)
+                address = pair.x1.__array_interface__["data"][0]
+                buffers.setdefault(threading.get_ident(), set()).add(address)
+            return inner(pair)
+
+        monkeypatch.setattr(simulation, "cq10_score", cq10)
+        cfg = SimulationConfig(p=8, n1=10, n2=12, trials=20, seed=5, detectors=("cq10",))
+        run_trials(cfg)
+        assert len(kept) == 2 * cfg.trials
+        assert all(len(b) == 1 for b in buffers.values())
+        assert len(set().union(*buffers.values())) == len(buffers)
+
     def test_each_pair_is_taken_once_under_contention(self, monkeypatch):
         """Eight workers on a short switch interval: a pair taken twice, or
         lost, between the workers' loops shows in the pairs drawn."""

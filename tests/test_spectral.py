@@ -224,6 +224,10 @@ class TestSamplePair:
         with pytest.raises(StructuralError):
             SamplePair(np.zeros(5), np.zeros((5, 2)))
 
+    def test_rejects_p_zero(self):
+        with pytest.raises(StructuralError, match="p >= 1 rows"):
+            SamplePair(np.zeros((0, 5)), np.zeros((0, 5)))
+
     def test_blocks_are_immutable(self):
         pair = SamplePair(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -256,8 +260,12 @@ class TestSamplePair:
             (np.zeros(5), np.zeros((5, 2)), StructuralError),
             (np.zeros((2, 3)), np.zeros((3, 3)), StructuralError),
             (np.full((5, 4), 1e308), np.zeros((5, 4)), DomainError),
+            (np.zeros((0, 5)), np.zeros((0, 5)), StructuralError),
         ],
-        ids=["one-observation", "non-finite", "1-d", "dimension-mismatch", "mean-overflow"],
+        ids=[
+            "one-observation", "non-finite", "1-d", "dimension-mismatch", "mean-overflow",
+            "p-zero",
+        ],
     )
     def test_an_engine_pair_makes_every_check(self, x1, x2, error):
         with pytest.raises(error):
