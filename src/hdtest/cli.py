@@ -14,7 +14,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -51,8 +50,9 @@ _HIST_RANGE = (-5.0, 5.0)
 
 
 def _write_json_atomic(path, payload: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # Not mkstemp, which makes the file 0600: the umask sets its mode, as for the CSVs.
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -170,8 +170,10 @@ def lappw_score(pair: SamplePair, pop) -> ScoreResult:
     """Diagonal-loading statistic with the clairvoyantly optimized loading.
 
     The loading maximizes the SNR proxy against `pop`, the true covariance's
-    diagonal, so this detector is simulation-only and its performance is an
-    upper bound for any data-driven choice.  aux carries 'loading'.
+    diagonal, so this detector is simulation-only.  It is no upper bound for
+    data-driven loadings: (tr A^-1)^2 / (p tr(A^-1 R A^-1)) lacks the second
+    R of T^2's null variance tr((A^-1 R)^2), so it is a linear statistic's
+    SNR, and a ridge tuned on the sample alone beats it.  aux carries 'loading'.
     """
     _instance("pair", pair, SamplePair)
     decomp = pair.decomposition

@@ -24,10 +24,12 @@ from .spectral import SpectralDecomposition, _instance, _integer, _pop_diag, wei
 
 SQRT5 = math.sqrt(5.0)
 
-# Below this magnitude the log argument's numerator/denominator is treated as
-# an exact hit on the removable singularity |lambda - lambda_j| = sqrt(5)*h_j,
-# where the bracket vanishes and the product term's limit is 0.
-_LOG_GUARD = 1e-300
+# The kernel sums' scales with h_j taken out: a's linear term, its log
+# term's factor -sqrt5/2 relative to it (as -1/(0.4 sqrt5): against the float
+# 0.2 and sqrt5 the log term then cancels x to 5e-17, not 1.5e-16), and b's.
+_LIN = -3.0 / (10.0 * math.pi)
+_LOG_OVER_LIN = -1.0 / (0.4 * SQRT5)
+_BUMP = 3.0 / (4.0 * SQRT5)
 
 # The kernel sums' far field, |x| > 10 sqrt5, where the bracket 1 - x^2/5 is
 # below -99, and its series' 8 coefficients.
@@ -45,39 +47,36 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
 
     `evals` are the retained sample eigenvalues, each strictly positive, with
     bandwidths h_j = n**(-1/3) * lambda_j.  For each, with
-    x_j = (lambda - lambda_j)/h_j:
+    x_j = (lambda - lambda_j)/h_j, formed as (lambda - lambda_j) * (1/h_j):
 
-      a gets  -3 x_j / (10 pi h_j)
-              + 3/(4 sqrt5 pi h_j) * (1 - x_j^2/5) * log|(sqrt5 - x_j)/(sqrt5 + x_j)|
+      a gets  -3/(10 pi h_j) * (x_j - sqrt5/2 * (1 - x_j^2/5) * log|(sqrt5 - x_j)/(sqrt5 + x_j)|)
       b gets  3/(4 sqrt5 h_j) * max(1 - x_j^2/5, 0)
 
-    b is a sum of unit-mass compactly supported bumps, hence >= 0 with total
-    mass equal to the retained count.  At |x_j| = sqrt5 the log diverges but
-    the bracket vanishes; the product's limit is 0, which the guard enforces
-    when floating point lands exactly on the singularity.
+    Each row sums the terms times 1/h_j and takes the constant after the
+    sum.  b is a sum of unit-mass compactly supported bumps, hence >= 0 with
+    total mass equal to the retained count.  At x_j = +-sqrt5 the log
+    diverges but the bracket vanishes; the product's limit is 0.  Where
+    floating point lands exactly there the product is not finite, so a chunk
+    whose products' sum is not finite has those products set to 0.
 
     In the far field, |x_j| > 10 sqrt5, a's two parts cancel to about
     -1/(pi (lambda - lambda_j)), and the log's rounding error is multiplied
     by x_j^2.  There a's term is its exact series in u = sqrt5/x_j, w = u^2,
 
       -3/(sqrt5 pi h_j) * sum_k u^(2k+1)/((2k+1)(2k+3))
-          = (-3 x_j / (10 pi h_j)) * w * sum_k 2 w^k/((2k+1)(2k+3)),
+          = (-3/(10 pi h_j)) * x_j * w * sum_k 2 w^k/((2k+1)(2k+3)),
 
     taken over k < 8 (truncation below 1e-17 relative, as w < 0.01) by
     Horner's rule on the far entries alone; b's term is 0 there.
 
     The points run in row chunks through four reused work buffers, each step
     an in-place ufunc with the operands and rounding of the one-shot
-    expression, and each row reduced whole; so the sums have the same bits
-    as that expression at any chunk size.
+    expression, and each row reduced whole by np.sum; so the sums have the
+    same bits as that expression at any chunk size.
     """
     lams = np.asarray(lams, dtype=float)
     k, m = lams.size, evals.size
-    h = float(n) ** (-1.0 / 3.0) * evals
-    sqrt5_h = SQRT5 * h
-    log_scale = 3.0 / (4.0 * SQRT5 * math.pi * h)
-    lin_scale = 10.0 * math.pi * h
-    bump_scale = 3.0 / (4.0 * SQRT5 * h)
+    inv_h = 1.0 / (float(n) ** (-1.0 / 3.0) * evals)
     a, b = np.empty(k), np.empty(k)
     rows = max(1, _KERNEL_CHUNK // m)
     bufs = np.empty((4, min(rows, k), m))
@@ -87,42 +86,40 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
         x, t, num, den = bufs[:, : lam.shape[0]]
         far = far_buf[: lam.shape[0]]
         np.subtract(lam, evals, out=x)
-        x /= h
+        x *= inv_h
         np.multiply(x, 0.2, out=t)
         t *= x
         bracket = np.subtract(1.0, t, out=t)
-        np.subtract(sqrt5_h, lam, out=num)
-        num += evals
-        np.add(sqrt5_h, lam, out=den)
-        den -= evals
-        np.abs(num, out=num)
-        np.abs(den, out=den)
-        guarded = (num < _LOG_GUARD) | (den < _LOG_GUARD)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logterm = np.divide(num, den, out=num)
-            np.log(logterm, out=logterm)
-            prod = np.multiply(log_scale, bracket, out=den)
-            prod *= logterm
-        prod[guarded] = 0.0
         np.less(bracket, _FAR_BRACKET, out=far)
+        np.subtract(SQRT5, x, out=num)
+        np.add(SQRT5, x, out=den)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prod = np.divide(num, den, out=num)
+            np.abs(prod, out=prod)
+            np.log(prod, out=prod)
+            prod *= bracket
+            if not math.isfinite(np.sum(prod)):  # an exact hit on x = +-sqrt5
+                prod[~np.isfinite(prod)] = 0.0
         np.maximum(bracket, 0.0, out=bracket)
-        bracket *= bump_scale
+        bracket *= inv_h
         np.sum(bracket, axis=1, out=b[i : i + rows])
-        w = x[far]  # the far entries' w * series(w), summed in t's free buffer
-        w *= w
+        xf = x[far]  # the far entries' x * w * series(w), w and the sum in free buffers
+        w = np.multiply(xf, xf, out=den.reshape(-1)[: xf.size])
         np.divide(5.0, w, out=w)
-        acc = np.multiply(w, _SERIES[-1], out=t.reshape(-1)[: w.size])
+        acc = np.multiply(w, _SERIES[-1], out=t.reshape(-1)[: xf.size])
         for c in _SERIES[-2:0:-1]:
             acc += c
             acc *= w
         acc += _SERIES[0]
-        w *= acc
-        x *= -3.0
-        x /= lin_scale
-        w *= x[far]
-        x += prod
-        x[far] = w
-        np.sum(x, axis=1, out=a[i : i + rows])
+        acc *= w
+        acc *= xf
+        prod *= _LOG_OVER_LIN
+        prod += x
+        prod[far] = acc
+        prod *= inv_h
+        np.sum(prod, axis=1, out=a[i : i + rows])
+    a *= _LIN
+    b *= _BUMP
     return a, b
 
 
@@ -172,8 +169,8 @@ def shrink_eigenvalues(
     # their common target needs a(0), one more point of the same kernel sums.
     lams = np.append(evs[pos], 0.0) if k < p else evs[pos]
     a, b = _kernel_sums(lams, retained, n)
-    s = math.pi * (a[:k] + 1j * b[:k]) / m
-    denom = np.abs(1.0 - c - c * lams[:k] * s) ** 2
+    cl = (c * math.pi / m) * lams[:k]  # c lambda s = cl (a + i b), in reals
+    denom = (1.0 - c - cl * a[:k]) ** 2 + (cl * b[:k]) ** 2
     out[pos] = lams[:k] / denom
     if k < p:
         denom0 = (p / n - 1.0) * math.pi * a[k] / n

@@ -51,38 +51,36 @@ def kernel_ab_mp(lam, evals, n, dps=None):
 def kernel_sums_one_shot(lams, evals, n):
     """The kernel sums (a, b) as one (points x eigenvalues) expression.
 
-    This is the library's former single-pass form of `_kernel_sums`, kept as
-    the bit-for-bit reference for its chunked, in-place evaluation: each
-    entry goes through the same operations in the same order, so the two
-    must agree exactly, not just to a tolerance.  Past |x| = 10 sqrt5 (a
-    bracket below -99) the a term is the linear term times
-    w * sum_k 2 w^k/((2k+1)(2k+3)), k < 8, w = 5/x^2, by Horner's rule: the
-    exact series of the near-field form (derived in `_kernel_sums`).
+    This is `_kernel_sums`' expression on the whole k x m matrix, kept as the
+    bit-for-bit reference for its chunked, in-place evaluation: each entry
+    goes through the same operations in the same order, so the two must
+    agree exactly, not just to a tolerance.  With x = (lam - ev) * (1/h),
+    the near-field term is x - (sqrt5/2) * (1 - x^2/5) * log|(sqrt5 - x)/(sqrt5 + x)|,
+    whose product is set to 0 where it is not finite (x = +-sqrt5 exactly).
+    Past |x| = 10 sqrt5 (a bracket below -99) the term is
+    x * w * sum_k 2 w^k/((2k+1)(2k+3)), k < 8, w = 5/x^2, by Horner's rule:
+    the exact series of the near-field form (derived in `_kernel_sums`).
+    Each row sums its terms times 1/h, and a and b take their constant
+    factors -3/(10 pi) and 3/(4 sqrt5) after the sum.
     """
     sqrt5 = math.sqrt(5.0)
     lam = np.asarray(lams, dtype=float)[:, None]
-    ev = evals[None, :]
-    h = (float(n) ** (-1.0 / 3.0) * evals)[None, :]
-    x = (lam - ev) / h
+    inv_h = (1.0 / (float(n) ** (-1.0 / 3.0) * evals))[None, :]
+    x = (lam - evals[None, :]) * inv_h
     bracket = 1.0 - 0.2 * x * x
-    num = sqrt5 * h - lam + ev
-    den = sqrt5 * h + lam - ev
     coef = [2.0 / ((2 * k + 1) * (2 * k + 3)) for k in range(8)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = np.log(np.abs(num) / np.abs(den))
-        prod = (3.0 / (4.0 * sqrt5 * math.pi * h)) * bracket * logterm
+        prod = bracket * np.log(np.abs((sqrt5 - x) / (sqrt5 + x)))
         w = 5.0 / (x * x)  # the series is kept only in the far field
         acc = w * coef[7]
         for c in coef[6:0:-1]:
             acc = (acc + c) * w
         acc = acc + coef[0]
-        lin = -3.0 * x / (10.0 * math.pi * h)
-        series = lin * (w * acc)
-    guarded = (np.abs(num) < 1e-300) | (np.abs(den) < 1e-300)
-    prod = np.where(guarded, 0.0, prod)
-    terms = np.where(bracket < -99.0, series, lin + prod)
-    a = np.sum(terms, axis=1)
-    b = np.sum((3.0 / (4.0 * sqrt5 * h)) * np.maximum(bracket, 0.0), axis=1)
+        series = x * (acc * w)
+    prod = np.where(np.isfinite(prod), prod, 0.0)
+    terms = np.where(bracket < -99.0, series, x + (-1.0 / (0.4 * sqrt5)) * prod)
+    a = (-3.0 / (10.0 * math.pi)) * np.sum(terms * inv_h, axis=1)
+    b = (3.0 / (4.0 * sqrt5)) * np.sum(np.maximum(bracket, 0.0) * inv_h, axis=1)
     return a, b
 
 

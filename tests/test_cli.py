@@ -615,6 +615,29 @@ class TestLifecycle:
             assert all(os.path.isfile(path) for path in m["outputs"])
         capsys.readouterr()
 
+    def test_json_outputs_take_the_mode_of_the_csvs(self, tmp_path, capsys):
+        """Under umask 022 every output is rw-r--r--: the JSON files are not
+        left at a temporary file's 0600."""
+        matrix = tmp_path / "m.csv"
+        write_matrix_csv(matrix, np.diag([2.0, 1.0]))
+        previous = os.umask(0o022)
+        try:
+            assert run_simulate(tmp_path / "sim") == 0
+            assert main(["shrink", "--matrix", str(matrix), "--n", "8",
+                         "--out-prefix", str(tmp_path / "shrink_")]) == 0
+        finally:
+            os.umask(previous)
+        runs = [
+            (tmp_path / "sim" / "scores.csv",
+             [tmp_path / "sim" / "summary.json", tmp_path / "sim" / "manifest.json"]),
+            (tmp_path / "shrink_dhat.csv", [tmp_path / "shrink_manifest.json"]),
+        ]
+        for csv, jsons in runs:
+            assert csv.stat().st_mode & 0o777 == 0o644
+            for path in jsons:
+                assert path.stat().st_mode & 0o777 == 0o644, path.name
+        capsys.readouterr()
+
 
 def _distribution_installed(name: str) -> bool:
     try:

@@ -203,6 +203,46 @@ class TestKernelSums:
         # a factor 100 for the rounding of a sum over 190 terms.
         assert np.max(np.abs(a - a_ref) / np.abs(a_ref)) < 1e-11
 
+    @pytest.mark.parametrize("p, n1, order", [(200, 150, 2), (200, 200, 4), (800, 150, 2)])
+    def test_matches_mpmath_on_the_benchmark_spectra(self, p, n1, order):
+        # the first H0 pair of seed 1 at the benchmark's shapes, decomposed
+        # as the engine does (Gram side at p = 800); there p > n, so the
+        # zero eigenvalues' target needs a(0) and 0 is a point too.  a's band
+        # is the wide-spectrum test's: 1e-13 for the near field's log
+        # rounding, times 100 for a sum of up to 298 terms.  b's terms are
+        # >= 0, so its sum does not cancel: 5e-16 is measured, and 1e-13
+        # leaves a factor 200.
+        pair = first_h0_pair(p, n1, n1, order)
+        retained = pair.decomposition.eigenvalues[: min(p, pair.n)]
+        idx = np.concatenate(([0, 1, 2], np.linspace(3, retained.size - 1, 17).astype(int)))
+        points = np.append(retained[idx], 0.0) if p > pair.n else retained[idx]
+        a, b = _kernel_sums(points, retained, pair.n)
+        ref = [kernel_ab_mp(x, retained, pair.n, dps=40) for x in points]
+        a_ref = np.array([float(r[0]) for r in ref])
+        b_ref = np.array([float(r[1]) for r in ref])
+        assert np.max(np.abs(a - a_ref) / np.abs(a_ref)) < 1e-11
+        inside = b_ref > 0.0
+        assert np.all(b[~inside] == 0.0)
+        assert np.max(np.abs(b - b_ref)[inside] / b_ref[inside]) < 1e-13
+
+    def test_both_exact_singularities_match_mpmath(self):
+        # one eigenvalue 4 at n = 64 has h = 1 exactly, so 4 + sqrt5 and
+        # 4 - sqrt5 land on x = +sqrt5 and x = -sqrt5 in floats, where the
+        # log's numerator or denominator is exactly 0; and two float
+        # neighbours of each on either side
+        assert (4.0 + SQRT5) - 4.0 == SQRT5 and (4.0 - SQRT5) - 4.0 == -SQRT5
+        points = []
+        for edge in (4.0 + SQRT5, 4.0 - SQRT5):
+            below = np.nextafter(edge, -math.inf)
+            above = np.nextafter(edge, math.inf)
+            points += [np.nextafter(below, -math.inf), below, edge, above, np.nextafter(above, math.inf)]
+        a, b = _kernel_sums(np.array(points), np.array([4.0]), 64)
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+        for lam, a_i, b_i in zip(points, a, b):
+            a_ref, b_ref = kernel_ab_mp(lam, [4.0], 64)
+            assert a_i == pytest.approx(float(a_ref), rel=1e-12, abs=1e-14)
+            assert b_i == pytest.approx(float(b_ref), rel=1e-12, abs=1e-14)
+
 
 class TestChunkedKernelSums:
     """_kernel_sums runs in row chunks; its sums must have the one-shot bits."""
@@ -212,13 +252,13 @@ class TestChunkedKernelSums:
     @staticmethod
     def spectrum():
         # n = 1 gives bandwidths h_j = lambda_j, so lambda = 1 + sqrt5 lands
-        # exactly on the singularity of the eigenvalue 1.0 (num == 0 in floats)
+        # exactly on the singularity of the eigenvalue 1.0 (x == sqrt5 in floats)
         rng = np.random.default_rng(17)
         evals = np.sort(np.concatenate(([1.0], rng.uniform(0.05, 9.0, size=36))))[::-1]
         points = np.concatenate(
             ([1.0 + SQRT5, 0.0], evals[:20], rng.uniform(0.0, 12.0, size=TestChunkedKernelSums.K - 22))
         )
-        assert (SQRT5 * 1.0 - points[0]) + 1.0 == 0.0  # the library's num at h = 1
+        assert SQRT5 - (points[0] - 1.0) == 0.0  # the library's sqrt5 - x at h = 1
         return points, evals
 
     @pytest.mark.parametrize(
