@@ -46,12 +46,9 @@ class DetectorKind(enum.Enum):
     MAHALANOBIS_ORACLE = "oracle"
 
     @classmethod
-    def from_name(cls, name: str) -> "DetectorKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
+    def _missing_(cls, value):
         known = ", ".join(k.value for k in cls)
-        raise StructuralError(f"unknown detector {name!r} (known: {known})")
+        raise StructuralError(f"unknown detector {value!r} (known: {known})")
 
 
 @dataclass(frozen=True)
@@ -185,3 +182,17 @@ def lappw_score(pair: SamplePair, pop) -> ScoreResult:
         score,
         aux={"loading": res.lambda_star, "snr_at_optimum": res.snr_at_optimum},
     )
+
+
+# Detector -> its score on a pair under the population diagonal.  The lambdas
+# look each detector up in this module's namespace at call time, so a function
+# replaced there (by a tracer or a test) is the one that runs.  The detectors
+# share the pair's SCM and decomposition, which the pair forms once.
+_DETECTORS = {
+    DetectorKind.HOTELLING: lambda pair, diag: hotelling_score(pair),
+    DetectorKind.PROPOSED_LW: lambda pair, diag: lw_score(pair),
+    DetectorKind.BS96: lambda pair, diag: bs96_score(pair),
+    DetectorKind.CQ10: lambda pair, diag: cq10_score(pair),
+    DetectorKind.LAPPW: lambda pair, diag: lappw_score(pair, diag),
+    DetectorKind.MAHALANOBIS_ORACLE: lambda pair, diag: mahalanobis_score(pair, diag),
+}

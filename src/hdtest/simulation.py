@@ -25,15 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .detectors import (
-    DetectorKind,
-    bs96_score,
-    cq10_score,
-    hotelling_score,
-    lappw_score,
-    lw_score,
-    mahalanobis_score,
-)
+from .detectors import _DETECTORS, DetectorKind
 from .errors import DomainError, StructuralError
 from .spectral import (
     _finite_array, _instance, _integer, _pop_diag, _readonly, _real, _take, _workspace_pair,
@@ -179,10 +171,9 @@ class SimulationConfig:
             raise StructuralError(f"cov order must be >= 0, got {self.cov_order}")
         if self.base_dist not in _BASE_DISTS:
             raise StructuralError(f"base_dist must be one of {_BASE_DISTS}")
-        kinds = tuple(
-            k if isinstance(k, DetectorKind) else DetectorKind.from_name(k)
-            for k in self.detectors
-        )
+        if isinstance(self.detectors, str) or not hasattr(self.detectors, "__iter__"):
+            raise StructuralError(f"detectors must be a sequence of names, not {self.detectors!r}")
+        kinds = tuple(map(DetectorKind, self.detectors))
         if not kinds:
             raise StructuralError("at least one detector is required")
         if len(set(kinds)) < len(kinds):
@@ -318,20 +309,6 @@ class ScoreTable:
         return tuple(k for k in self.config.detectors if k in self.h0)
 
 
-# Detector -> its score on a pair under the population diagonal.  The lambdas
-# look each detector up in this module's namespace at call time, so a function
-# replaced there (by a tracer or a test) is the one that runs.  The detectors
-# share the pair's SCM and decomposition, which the pair forms once.
-_DETECTORS = {
-    DetectorKind.HOTELLING: lambda pair, diag: hotelling_score(pair),
-    DetectorKind.PROPOSED_LW: lambda pair, diag: lw_score(pair),
-    DetectorKind.BS96: lambda pair, diag: bs96_score(pair),
-    DetectorKind.CQ10: lambda pair, diag: cq10_score(pair),
-    DetectorKind.LAPPW: lambda pair, diag: lappw_score(pair, diag),
-    DetectorKind.MAHALANOBIS_ORACLE: lambda pair, diag: mahalanobis_score(pair, diag),
-}
-
-
 def _run(config: SimulationConfig, hypotheses: tuple) -> tuple:
     """The trial engine: (diag, scores, failures).
 
@@ -451,8 +428,8 @@ def roc_curve(h0_scores: np.ndarray, h1_scores: np.ndarray) -> RocCurve:
     coordinate, so tied scores make one step, and the lowest one gives (1,1).
     """
     h0, h1 = _finite_array(h0_scores, "scores"), _finite_array(h1_scores, "scores")
-    if h0.size == 0 or h1.size == 0:
-        raise StructuralError("both score samples must be nonempty")
+    if h0.ndim != 1 or h1.ndim != 1 or h0.size == 0 or h1.size == 0:
+        raise StructuralError("both score samples must be nonempty vectors")
     pooled = np.sort(np.concatenate([h0, h1]))  # np.unique would import numpy.ma
     thresholds = pooled[np.append(pooled[1:] != pooled[:-1], True)][::-1]
     fpr = np.concatenate([[0.0], (h0.size - np.searchsorted(np.sort(h0), thresholds)) / h0.size])

@@ -56,9 +56,12 @@ def _take(workspace: dict | None, name: str, shape: tuple) -> np.ndarray:
 
 def _finite_array(a, what: str) -> np.ndarray:
     """a as a float array with finite entries (an ndarray of floats is not
-    copied); a ragged, non-numeric or non-finite a is a StructuralError."""
+    copied); a ragged, complex, non-numeric or non-finite a is a StructuralError."""
     try:
-        out = np.asarray(a, dtype=float)
+        out = np.asarray(a)
+        if np.iscomplexobj(out):  # a float cast would drop the imaginary part
+            raise TypeError("complex entries")
+        out = out.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"{what} is not a vector or matrix of numbers: {exc}") from exc
     if not np.all(np.isfinite(out)):

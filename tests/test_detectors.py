@@ -56,11 +56,11 @@ def model_pair(seed, p, n1, n2, order=0, mu=None):
 class TestDetectorKind:
     def test_round_trips_names(self):
         for kind in DetectorKind:
-            assert DetectorKind.from_name(kind.value) is kind
+            assert DetectorKind(kind.value) is kind
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(StructuralError, match="hotelling"):
-            DetectorKind.from_name("nope")
+            DetectorKind("nope")
 
     def test_score_result_rejects_non_finite(self):
         with pytest.raises(DomainError):

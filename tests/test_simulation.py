@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import hdtest
-from hdtest import simulation, spectral
+from hdtest import detectors, simulation, spectral
 from hdtest.detectors import DetectorKind
 from hdtest.errors import (
     DomainError,
@@ -355,6 +355,9 @@ class TestSimulationConfig:
             SimulationConfig(detectors=())
         with pytest.raises(StructuralError, match="repeated detector"):
             SimulationConfig(detectors=("lw", "lw", "cq10"))
+        for names in (5, "lw"):
+            with pytest.raises(StructuralError, match="sequence"):
+                SimulationConfig(detectors=names)
 
     @pytest.mark.parametrize(
         "name,value,want",
@@ -499,10 +502,10 @@ class TestRunTrials:
         ["hotelling_score", "lw_score", "bs96_score", "cq10_score", "lappw_score", "mahalanobis_score"],
     )
     def test_detectors_are_looked_up_at_call_time(self, name, monkeypatch):
-        """A detector replaced in the simulation namespace after import is the
+        """A detector replaced in the detectors namespace after import is the
         one the engine calls, once per pair."""
         seen = []
-        monkeypatch.setattr(simulation, name, _recording(getattr(simulation, name), seen))
+        monkeypatch.setattr(detectors, name, _recording(getattr(detectors, name), seen))
         table = run_trials(SimulationConfig(**SMALL))
         assert table.absent == {}
         assert len(seen) == 2 * SMALL["trials"]
@@ -539,7 +542,7 @@ class TestRunTrials:
         # after the first failure no later trial is scored
         monkeypatch.setenv("HDTEST_THREADS", "1")
         seen = []
-        monkeypatch.setattr(simulation, "lw_score", _recording(simulation.lw_score, seen))
+        monkeypatch.setattr(detectors, "lw_score", _recording(detectors.lw_score, seen))
         cfg = SimulationConfig(p=20, n1=11, n2=11, trials=50)
         with pytest.warns(UserWarning, match="truncated"):
             with pytest.raises(UnsupportedAspectRatioError, match="aspect ratio") as info:
@@ -565,7 +568,7 @@ class TestRunTrials:
 
         calls = []
 
-        def cq10(pair, inner=simulation.cq10_score):
+        def cq10(pair, inner=detectors.cq10_score):
             calls.append(current.at)
             if current.at == (k, 0):
                 time.sleep(0.2)
@@ -574,7 +577,7 @@ class TestRunTrials:
             return inner(pair)
 
         monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
-        monkeypatch.setattr(simulation, "cq10_score", cq10)
+        monkeypatch.setattr(detectors, "cq10_score", cq10)
         monkeypatch.setenv("HDTEST_THREADS", workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -653,12 +656,12 @@ class TestPairScheduling:
         barrier = threading.Barrier(2, timeout=30)
         threads = set()
 
-        def cq10(pair, inner=simulation.cq10_score):
+        def cq10(pair, inner=detectors.cq10_score):
             threads.add(threading.get_ident())
             barrier.wait()
             return inner(pair)
 
-        monkeypatch.setattr(simulation, "cq10_score", cq10)
+        monkeypatch.setattr(detectors, "cq10_score", cq10)
         cfg = SimulationConfig(p=8, n1=10, n2=12, trials=1, seed=5, detectors=("cq10",))
         assert simulation.worker_count(cfg.trials, simulation.SIMULATE_HYPOTHESES) == 2
         table = run_trials(cfg)
@@ -672,14 +675,14 @@ class TestPairScheduling:
         monkeypatch.setenv("HDTEST_THREADS", "2")
         lock, kept, buffers = threading.Lock(), [], {}
 
-        def cq10(pair, inner=simulation.cq10_score):
+        def cq10(pair, inner=detectors.cq10_score):
             with lock:
                 kept.append(pair.x1)
                 address = pair.x1.__array_interface__["data"][0]
                 buffers.setdefault(threading.get_ident(), set()).add(address)
             return inner(pair)
 
-        monkeypatch.setattr(simulation, "cq10_score", cq10)
+        monkeypatch.setattr(detectors, "cq10_score", cq10)
         cfg = SimulationConfig(p=8, n1=10, n2=12, trials=20, seed=5, detectors=("cq10",))
         run_trials(cfg)
         assert len(kept) == 2 * cfg.trials
@@ -723,7 +726,7 @@ class TestPairScheduling:
         calls, late = [], []  # detector calls; the thread of each pair started after the raise
         name = f"{detector}_score"
 
-        def score(pair, inner=getattr(simulation, name)):
+        def score(pair, inner=getattr(detectors, name)):
             with lock:
                 calls.append(None)
                 if len(calls) == 5:
@@ -736,7 +739,7 @@ class TestPairScheduling:
                 late.append(threading.get_ident())
             return inner(seed, t, h)
 
-        monkeypatch.setattr(simulation, name, score)
+        monkeypatch.setattr(detectors, name, score)
         monkeypatch.setattr(simulation, "_trial_rng", trial_rng)
         cfg = SimulationConfig(p=8, n1=10, n2=12, trials=40, seed=5, detectors=(detector,))
         with pytest.raises(RuntimeError, match="not a precondition"):
@@ -789,7 +792,7 @@ class TestBlasPin:
     def test_held_at_one_during_run_and_restored_after(self, workers, blas_at_two, monkeypatch):
         monkeypatch.setenv("HDTEST_THREADS", workers)
         seen = []
-        monkeypatch.setattr(simulation, "cq10_score", _recording(simulation.cq10_score, seen))
+        monkeypatch.setattr(detectors, "cq10_score", _recording(detectors.cq10_score, seen))
         run_trials(SimulationConfig(**SMALL))
         assert len(seen) == 2 * SMALL["trials"]
         assert all(counts == {name: 1 for name in blas_at_two} for counts in seen)
@@ -802,7 +805,7 @@ class TestBlasPin:
         def boom(pair):
             raise RuntimeError("not a precondition failure")
 
-        monkeypatch.setattr(simulation, "cq10_score", boom)
+        monkeypatch.setattr(detectors, "cq10_score", boom)
         with pytest.raises(RuntimeError, match="not a precondition"):
             run_trials(SimulationConfig(**SMALL))
         assert blas_threads() == blas_at_two
@@ -819,7 +822,7 @@ class TestBlasPin:
         counts restored while another still runs."""
         monkeypatch.setenv("HDTEST_THREADS", "2")
         seen = []
-        monkeypatch.setattr(simulation, "cq10_score", _recording(simulation.cq10_score, seen))
+        monkeypatch.setattr(detectors, "cq10_score", _recording(detectors.cq10_score, seen))
         cfg = SimulationConfig(p=6, n1=8, n2=8, trials=6, seed=2, detectors=("cq10",))
         engines = [threading.Thread(target=run_trials, args=(cfg,)) for _ in range(6)]
         interval = sys.getswitchinterval()
@@ -941,6 +944,10 @@ class TestRocCurve:
             roc_curve(np.array([]), np.array([1.0]))
         with pytest.raises(StructuralError):
             roc_curve(np.array([np.nan]), np.array([1.0]))
+        with pytest.raises(StructuralError):
+            roc_curve(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(StructuralError):
+            roc_curve(np.ones((2, 2)), np.ones(3))
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(StructuralError):
@@ -991,7 +998,7 @@ class TestCsvWriters:
         assert first[:3] == ["0", "h0", "hotelling"]
         for line in lines[1:]:
             t, hyp, name, score = line.split(",")
-            kind = DetectorKind.from_name(name)
+            kind = DetectorKind(name)
             stored = (table.h0 if hyp == "h0" else table.h1)[kind][int(t)]
             assert float(score) == stored
 

@@ -160,11 +160,15 @@ RAGGED = [[1.0, 2.0], [3.0]]
         lambda: generate_sample("ab", np.zeros(2), 3, np.random.default_rng(0)),
         lambda: RocCurve([[0.0], [0.0, 1.0]], [0.0, 1.0]),
         lambda: write_matrix_csv(os.devnull, RAGGED),
+        lambda: SamplePair(np.ones((2, 3)) + 5j, np.ones((2, 3))),
+        lambda: spectral_decompose(np.array([[2, 1j], [-1j, 2]])),
+        lambda: quad_form_inverse(spectral_decompose(np.eye(2)), np.ones(2) + 1j, np.ones(2)),
     ],
     ids=[
         "pair-ragged", "pair-string", "decomp-values", "decomp-vectors",
         "quad-form", "decompose-ragged", "decompose-string", "population-diagonal",
-        "roc-points", "write-matrix",
+        "roc-points", "write-matrix", "pair-complex", "decompose-hermitian",
+        "quad-form-complex",
     ],
 )
 def test_ragged_or_non_numeric_input_is_a_structural_error(call):
