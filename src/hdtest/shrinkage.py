@@ -42,6 +42,7 @@ _SERIES = tuple(2.0 / ((2 * k + 1) * (2 * k + 3)) for k in range(8))
 _KERNEL_CHUNK = 1 << 16
 
 
+@np.errstate(all="ignore")  # a sum past the float range is shrink_eigenvalues' to report
 def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
     """Vectorized kernel sums a(lambda), b(lambda) at many evaluation points.
 
@@ -93,13 +94,12 @@ def _kernel_sums(lams: np.ndarray, evals: np.ndarray, n: int):
         np.less(bracket, _FAR_BRACKET, out=far)
         np.subtract(SQRT5, x, out=num)
         np.add(SQRT5, x, out=den)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prod = np.divide(num, den, out=num)
-            np.abs(prod, out=prod)
-            np.log(prod, out=prod)
-            prod *= bracket
-            if not math.isfinite(np.sum(prod)):  # an exact hit on x = +-sqrt5
-                prod[~np.isfinite(prod)] = 0.0
+        prod = np.divide(num, den, out=num)
+        np.abs(prod, out=prod)
+        np.log(prod, out=prod)
+        prod *= bracket
+        if not math.isfinite(np.sum(prod)):  # an exact hit on x = +-sqrt5
+            prod[~np.isfinite(prod)] = 0.0
         np.maximum(bracket, 0.0, out=bracket)
         bracket *= inv_h
         np.sum(bracket, axis=1, out=b[i : i + rows])
@@ -169,16 +169,15 @@ def shrink_eigenvalues(
     # their common target needs a(0), one more point of the same kernel sums.
     lams = np.append(evs[pos], 0.0) if k < p else evs[pos]
     a, b = _kernel_sums(lams, retained, n)
-    cl = (c * math.pi / m) * lams[:k]  # c lambda s = cl (a + i b), in reals
-    denom = (1.0 - c - cl * a[:k]) ** 2 + (cl * b[:k]) ** 2
-    out[pos] = lams[:k] / denom
-    if k < p:
-        denom0 = (p / n - 1.0) * math.pi * a[k] / n
-        if denom0 <= 0.0:
-            raise DegenerateSpectrumError(
-                "zero-eigenvalue shrinkage target is non-positive"
-            )
-        out[~pos] = 1.0 / denom0
+    with np.errstate(all="ignore"):  # a map past the float range fails the check below
+        cl = (c * math.pi / m) * lams[:k]  # c lambda s = cl (a + i b), in reals
+        denom = (1.0 - c - cl * a[:k]) ** 2 + (cl * b[:k]) ** 2
+        out[pos] = lams[:k] / denom
+        if k < p:
+            denom0 = (p / n - 1.0) * math.pi * a[k] / n
+            if denom0 <= 0.0:
+                raise DegenerateSpectrumError("zero-eigenvalue shrinkage target is non-positive")
+            out[~pos] = 1.0 / denom0
     if not np.all(np.isfinite(out)) or np.any(out <= 0.0):
         raise DegenerateSpectrumError("shrunk eigenvalues are not finite and positive")
     return out

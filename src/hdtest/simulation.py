@@ -234,16 +234,17 @@ def _find_openblas() -> tuple:
 
     Found in /proc/self/maps at the first call, not at import (by then
     importing numpy has loaded it), as the mapped OpenBLAS that exports the
-    64-bit interface's thread-count pair.  scipy's copy, which a caller that
+    64-bit interface's thread-count pair (a maps line's path is all of its
+    sixth field, so it may hold spaces).  scipy's copy, which a caller that
     imports scipy.linalg loads, exports neither symbol: it never runs
     hdtest's arithmetic, so its thread count is left alone.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            lines = [line for line in fh if "openblas" in line.lower()]
     except OSError:
         return ()
-    for path in paths:
+    for path in sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in lines}):
         try:
             lib = ctypes.CDLL(path)
         except OSError:

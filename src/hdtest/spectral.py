@@ -118,16 +118,21 @@ class SamplePair:
     freezes the engine's own blocks in place instead.  Pairs compare by
     identity.
 
-    The group means xbar1, xbar2 and their difference mean_diff are computed
-    once, at construction, and frozen in place.  The pooled covariance `scm`
+    Set once, at construction: the sizes p, n1, n2, the effective sample
+    size n = n1 + n2 - 2, gram_side (p > n1 + n2, where the pooled
+    covariance is decomposed from the Gram side) and the balanced-design
+    scale diff_scale = n1*n2/(n1+n2); and the group means xbar1, xbar2 and
+    their difference mean_diff, frozen in place.  The pooled covariance `scm`
     and its `decomposition` are formed on first use and then kept for the
     pair's lifetime.  The caches are plain attributes with no lock: two threads
-    that first read one at the same time may each form it.
+    that first read one at the same time may each form it (a cached_property
+    would serialise first reads across all pairs).
     """
 
     x1: np.ndarray
     x2: np.ndarray
     _ws = None  # the workspace of an engine pair (see _workspace_pair)
+    _scm = _decomposition = None  # the caches, unset until first read
 
     def __post_init__(self):
         for name in ("x1", "x2"):
@@ -138,10 +143,9 @@ class SamplePair:
                 raise StructuralError(f"need at least 2 observations, got {e.shape[1]}")
             object.__setattr__(self, name, _readonly(np.array(e) if self._ws is None else e))
         x1, x2 = self.x1, self.x2
-        if x1.shape[0] != x2.shape[0]:
-            raise StructuralError(
-                f"dimension mismatch between samples: {x1.shape[0]} vs {x2.shape[0]}"
-            )
+        (p, n1), (p2, n2) = x1.shape, x2.shape
+        if p != p2:
+            raise StructuralError(f"dimension mismatch between samples: {p} vs {p2}")
         # An overflowing mean is inf or nan, and so is mean_diff: one check covers all.
         with np.errstate(over="ignore", invalid="ignore"):
             xbar1 = x1.mean(axis=1)
@@ -149,10 +153,12 @@ class SamplePair:
             mean_diff = xbar1 - xbar2
         if not np.all(np.isfinite(mean_diff)):
             raise DomainError("group mean overflows the float range")
-        for name, v in (("xbar1", xbar1), ("xbar2", xbar2), ("mean_diff", mean_diff)):
-            object.__setattr__(self, name, _readonly(v))
-        object.__setattr__(self, "_scm", None)
-        object.__setattr__(self, "_decomposition", None)
+        for name, v in dict(
+            xbar1=_readonly(xbar1), xbar2=_readonly(xbar2), mean_diff=_readonly(mean_diff),
+            p=p, n1=n1, n2=n2, n=n1 + n2 - 2, gram_side=p > n1 + n2,
+            diff_scale=n1 * n2 / (n1 + n2),
+        ).items():
+            object.__setattr__(self, name, v)
 
     @property
     def scm(self) -> np.ndarray:
@@ -167,33 +173,6 @@ class SamplePair:
         if self._decomposition is None:
             object.__setattr__(self, "_decomposition", decompose_pair(self))
         return self._decomposition
-
-    @property
-    def p(self) -> int:
-        return self.x1.shape[0]
-
-    @property
-    def n1(self) -> int:
-        return self.x1.shape[1]
-
-    @property
-    def n2(self) -> int:
-        return self.x2.shape[1]
-
-    @property
-    def n(self) -> int:
-        """Effective sample size n1 + n2 - 2."""
-        return self.n1 + self.n2 - 2
-
-    @property
-    def gram_side(self) -> bool:
-        """True when p > n1 + n2: the pooled covariance is decomposed from the Gram side."""
-        return self.p > self.n1 + self.n2
-
-    @property
-    def diff_scale(self) -> float:
-        """The balanced-design scale n1*n2/(n1+n2)."""
-        return self.n1 * self.n2 / (self.n1 + self.n2)
 
 
 def _workspace_pair(x1: np.ndarray, x2: np.ndarray, workspace: dict) -> SamplePair:

@@ -565,7 +565,8 @@ class TestLifecycle:
         loaded is neither held nor listed in the manifest."""
         pytest.importorskip("scipy.linalg")
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            lines = [line for line in fh if "openblas" in line.lower()]
+        paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in lines})
         libs = [ctypes.CDLL(path) for path in paths]
         libs = [lib for lib in libs if hasattr(lib, "scipy_openblas_get_num_threads")]
         if not libs:

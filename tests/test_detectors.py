@@ -448,6 +448,13 @@ class TestOverflow:
         with pytest.raises(DomainError, match="cq10 statistic overflows"):
             cq10_score(self.wide_pair(12))
 
+    @pytest.mark.filterwarnings("error")
+    def test_bs96_variance_overflow_raises_domain_error(self):
+        """At 1e77 the pooled covariance is finite but tr(S^2) is not."""
+        x1, x2 = 1e77 * np.random.default_rng(0).standard_normal((2, 20, 10))
+        with pytest.raises(DomainError, match="bs96 variance estimate overflows"):
+            bs96_score(SamplePair(x1, x2))
+
 
 class TestSharedDecomposition:
     """Detectors called one after another on one pair share its pooled SCM

@@ -391,6 +391,17 @@ class TestShrinkEigenvalues:
             shrink_eigenvalues(decomp_from([2.0, 1.0]), 8, 3)
 
     @pytest.mark.parametrize(
+        "evals, n",
+        [([2e-308, 1e-308], 5), ([1e200, 1e-200], 5), ([1e-320, 1e-320, 0.0], 2)],
+        ids=["kernel-sum-overflows", "x-overflows", "bandwidth-inverse-overflows"],
+    )
+    def test_map_past_the_float_range_is_degenerate_without_warnings(self, evals, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSpectrumError, match="not finite and positive"):
+                shrink_eigenvalues(decomp_from(evals), n, len(evals))
+
+    @pytest.mark.parametrize(
         "n, p", [(2.5, 4), (8, 4.0), ("8", 4), (True, 4)],
         ids=["float-n", "float-p", "str-n", "bool-n"],
     )

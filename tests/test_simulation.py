@@ -178,31 +178,53 @@ def test_radius_is_read_as_a_python_float(radius):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        lambda: generate_sample(np.ones(2), [[1.0], [1.0, 2.0]], 3, np.random.default_rng(0)),
-        lambda: generate_sample(np.ones(2), [0.0, np.nan], 3, np.random.default_rng(0)),
-        lambda: generate_sample(
-            np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=[[0.0] * 3] * 2
+        (
+            lambda: generate_sample(np.ones(2), [[1.0], [1.0, 2.0]], 3, np.random.default_rng(0)),
+            "mean is not a vector or matrix of numbers",
         ),
-        lambda: generate_sample(  # a read-only view of immutable bytes
-            np.ones(2), np.zeros(2), 3, np.random.default_rng(0),
-            out=np.frombuffer(bytes(48)).reshape(2, 3),
+        (
+            lambda: generate_sample(np.ones(2), [0.0, np.nan], 3, np.random.default_rng(0)),
+            "mean contains non-finite entries",
         ),
-        lambda: generate_sample(
-            np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=np.empty((2, 6))[:, ::2]
+        (
+            lambda: generate_sample(
+                np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=[[0.0] * 3] * 2
+            ),
+            r"out must have shape \(2, 3\) and dtype float64",
         ),
-        lambda: roc_curve([[1.0], [1.0, 2.0]], [1.0]),
-        lambda: roc_curve([1.0], "ab"),
-        lambda: normality_check([[1.0], [1.0, 2.0]]),
+        (
+            lambda: generate_sample(  # a read-only view of immutable bytes
+                np.ones(2), np.zeros(2), 3, np.random.default_rng(0),
+                out=np.frombuffer(bytes(48)).reshape(2, 3),
+            ),
+            "out must be writable",
+        ),
+        (
+            lambda: generate_sample(
+                np.ones(2), np.zeros(2), 3, np.random.default_rng(0), out=np.empty((2, 6))[:, ::2]
+            ),
+            "contiguous",
+        ),
+        (lambda: roc_curve([[1.0], [1.0, 2.0]], [1.0]), "scores is not a vector"),
+        (lambda: roc_curve([1.0], "ab"), "scores is not a vector"),
+        (lambda: normality_check([[1.0], [1.0, 2.0]]), "values is not a vector"),
+        (lambda: RocCurve([0.0, 1.0], [0.0, 0.5, 1.0]), "inconsistent ROC point arrays"),
+        (
+            lambda: spectral.quad_form_inverse(
+                spectral.spectral_decompose(np.eye(2)), np.ones(3), np.ones(2)
+            ),
+            r"expected length-2 vectors, got \(3,\) and \(2,\)",
+        ),
     ],
     ids=[
         "ragged-mean", "nan-mean", "list-out", "read-only-out", "strided-out",
-        "roc-ragged", "roc-string", "normality-ragged",
+        "roc-ragged", "roc-string", "normality-ragged", "roc-point-lengths", "quad-form-length",
     ],
 )
-def test_array_arguments_are_checked_as_arrays(call):
-    with pytest.raises(StructuralError):
+def test_array_arguments_are_checked_as_arrays(call, match):
+    with pytest.raises(StructuralError, match=match):
         call()
 
 
@@ -838,6 +860,26 @@ class TestBlasPin:
         assert len(seen) == 6 * 2 * cfg.trials
         assert all(counts == {name: 1 for name in blas_at_two} for counts in seen)
         assert blas_threads() == blas_at_two
+
+    def test_finds_numpy_openblas_under_a_path_with_a_space(self, tmp_path, monkeypatch):
+        """A maps line's path is all of its sixth field: numpy's OpenBLAS,
+        mapped from a directory whose name has a space, is still found."""
+        want = _openblas_or_skip()
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        real = next(
+            line.split(maxsplit=5)[5].rstrip("\n") for line in lines
+            if line.rstrip().endswith("/" + want[0].name)
+        )
+        link = tmp_path / "with space" / want[0].name
+        link.parent.mkdir()
+        link.symlink_to(real)  # dlopen of the link returns the loaded library
+        maps = tmp_path / "maps"
+        maps.write_text("".join(line.replace(real, str(link)) for line in lines))
+        monkeypatch.setattr(simulation, "open", lambda _, **kw: open(maps, **kw), raising=False)
+        found = simulation._find_openblas.__wrapped__()
+        assert [lib.name for lib in found] == [want[0].name]
+        assert found[0].get() == want[0].get()
 
     def test_no_library_found_still_scores(self, monkeypatch):
         cfg = SimulationConfig(**SMALL)
